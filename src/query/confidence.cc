@@ -2,7 +2,6 @@
 
 #include <cstdint>
 #include <type_traits>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -14,48 +13,14 @@
 #include "kernels/sparse.h"
 #include "obs/obs.h"
 #include "query/confidence_exact.h"
+#include "query/subset_dp.h"
 
 namespace tms::query {
 namespace {
 
-// Traits that let one DP implementation serve doubles and exact rationals.
-struct DoubleProb {
-  using Value = double;
-  static Value Zero() { return 0.0; }
-  static bool IsZero(const Value& v) { return v == 0.0; }
-  static Value Initial(const markov::MarkovSequence& mu, Symbol s) {
-    return mu.Initial(s);
-  }
-  static Value Transition(const markov::MarkovSequence& mu, int i, Symbol s,
-                          Symbol t) {
-    return mu.Transition(i, s, t);
-  }
-};
-
-struct RationalProb {
-  using Value = numeric::Rational;
-  static Value Zero() { return numeric::Rational(); }
-  static bool IsZero(const Value& v) { return v.IsZero(); }
-  static Value Initial(const markov::MarkovSequence& mu, Symbol s) {
-    return mu.InitialExact(s);
-  }
-  static Value Transition(const markov::MarkovSequence& mu, int i, Symbol s,
-                          Symbol t) {
-    return mu.TransitionExact(i, s, t);
-  }
-};
-
-// Advances the matched length j by emission w against exact target o.
-// Returns -1 on mismatch or overshoot.
-int AdvanceExact(const Str& o, int j, const Str& w) {
-  for (Symbol c : w) {
-    if (j >= static_cast<int>(o.size()) || o[static_cast<size_t>(j)] != c) {
-      return -1;
-    }
-    ++j;
-  }
-  return j;
-}
+using internal::AdvanceExact;
+using internal::DoubleProb;
+using internal::RationalProb;
 
 Status RequireSameAlphabet(const markov::MarkovSequence& mu,
                            const transducer::Transducer& t) {
@@ -277,9 +242,11 @@ StatusOr<typename P::Value> UniformSubsetImpl(
   TMS_OBS_COUNT("query.confidence.uniform_subset_calls", 1);
   int64_t masks_scanned = 0;
 
-  // dp[s] : mask -> probability mass of length-i prefixes ending in node s
-  // whose "consistent-run state set" equals mask (empty masks dropped).
-  std::vector<std::unordered_map<uint64_t, Value>> cur(sigma);
+  // cur : (node, state mask) -> probability mass of the length-i
+  // prefixes ending in that node whose "consistent-run state set" is that
+  // mask (empty masks dropped). A mask is the one-word SubsetLayer set.
+  internal::SubsetLayer<Value> cur(sigma, 1);
+  internal::SubsetLayer<Value> next(sigma, 1);
   for (size_t s = 0; s < sigma; ++s) {
     Value p0 = P::Initial(mu, static_cast<Symbol>(s));
     if (P::IsZero(p0)) continue;
@@ -290,47 +257,43 @@ StatusOr<typename P::Value> UniformSubsetImpl(
         mask |= (1ULL << static_cast<uint64_t>(e.target));
       }
     }
-    if (mask != 0) cur[s][mask] += p0;
+    if (mask != 0) cur.Add(s, &mask, std::move(p0));
   }
 
+  // step_mask[q * σ + s2]: the states input s2 takes q to while emitting
+  // the block of o at position i; it depends on i, never on the mask.
+  const size_t nq = static_cast<size_t>(t.num_states());
+  std::vector<uint64_t> step_mask(nq * sigma);
+  internal::SuccessorRows<P> rows(sigma);
   for (int i = 2; i <= n; ++i) {
-    std::vector<std::unordered_map<uint64_t, Value>> next(sigma);
-    // successor_mask[q][s2] is loop-invariant per i; compute lazily per
-    // (q, s2) pair outside the mask loop.
-    std::vector<std::vector<uint64_t>> step_mask(
-        static_cast<size_t>(t.num_states()), std::vector<uint64_t>(sigma, 0));
-    for (int q = 0; q < t.num_states(); ++q) {
+    for (size_t q = 0; q < nq; ++q) {
       for (size_t s2 = 0; s2 < sigma; ++s2) {
         uint64_t m = 0;
         for (const transducer::Edge& e :
-             t.Next(q, static_cast<Symbol>(s2))) {
+             t.Next(static_cast<automata::StateId>(q),
+                    static_cast<Symbol>(s2))) {
           if (emission_matches(e.output, i)) {
             m |= (1ULL << static_cast<uint64_t>(e.target));
           }
         }
-        step_mask[static_cast<size_t>(q)][s2] = m;
+        step_mask[q * sigma + s2] = m;
       }
     }
-    for (size_t s = 0; s < sigma; ++s) {
-      masks_scanned += static_cast<int64_t>(cur[s].size());
-      for (const auto& [mask, mass] : cur[s]) {
-        for (size_t s2 = 0; s2 < sigma; ++s2) {
-          Value step = P::Transition(mu, i - 1, static_cast<Symbol>(s),
-                                     static_cast<Symbol>(s2));
-          if (P::IsZero(step)) continue;
-          uint64_t mask2 = 0;
-          uint64_t rest = mask;
-          while (rest != 0) {
-            int q = __builtin_ctzll(rest);
-            rest &= rest - 1;
-            mask2 |= step_mask[static_cast<size_t>(q)][s2];
-          }
-          if (mask2 == 0) continue;
-          next[s2][mask2] += mass * step;
+    rows.Gather(mu, i, cur);
+    next.Clear();
+    masks_scanned += cur.width();
+    cur.ForEachCell([&](size_t s, const uint64_t* mask, const Value& mass) {
+      for (const auto& [s2, p] : rows.row(s)) {
+        uint64_t mask2 = 0;
+        for (uint64_t rest = *mask; rest != 0; rest &= rest - 1) {
+          mask2 |= step_mask[static_cast<size_t>(__builtin_ctzll(rest)) *
+                                 sigma +
+                             s2];
         }
+        if (mask2 != 0) next.Add(s2, &mask2, mass * p);
       }
-    }
-    cur = std::move(next);
+    });
+    std::swap(cur, next);
   }
 
   uint64_t accept_mask = 0;
@@ -338,11 +301,9 @@ StatusOr<typename P::Value> UniformSubsetImpl(
     if (t.IsAccepting(q)) accept_mask |= (1ULL << static_cast<uint64_t>(q));
   }
   Value total = P::Zero();
-  for (size_t s = 0; s < sigma; ++s) {
-    for (const auto& [mask, mass] : cur[s]) {
-      if ((mask & accept_mask) != 0) total += mass;
-    }
-  }
+  cur.ForEachCell([&](size_t, const uint64_t* mask, const Value& mass) {
+    if ((*mask & accept_mask) != 0) total += mass;
+  });
   TMS_OBS_COUNT("query.confidence.subset_masks", masks_scanned);
   (void)masks_scanned;  // only read by instrumentation
   return total;
@@ -415,7 +376,10 @@ StatusOr<double> Confidence(const markov::MarkovSequence& mu,
     return ConfidenceUniformSubset(mu, t, o);
   }
   TMS_OBS_COUNT("query.confidence.exact_calls", 1);
-  return ConfidenceExact(mu, t, o);
+  ExactConfidenceStats stats;
+  StatusOr<double> conf = ConfidenceExact(mu, t, o, &stats);
+  TMS_OBS_COUNT("query.confidence.exact_entries", stats.total_entries);
+  return conf;
 }
 
 }  // namespace tms::query

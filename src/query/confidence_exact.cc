@@ -1,66 +1,18 @@
 #include "query/confidence_exact.h"
 
 #include <algorithm>
-#include <type_traits>
-#include <unordered_map>
+#include <string>
 #include <utility>
 #include <vector>
 
-#include "common/check.h"
-#include "kernels/sparse.h"
+#include "query/subset_dp.h"
 
 namespace tms::query {
 namespace {
 
-// A pair-set is a sorted vector of packed (state, j) pairs.
-using PairSet = std::vector<uint32_t>;
-
-struct PairSetHash {
-  size_t operator()(const PairSet& v) const {
-    size_t h = 1469598103934665603ULL;
-    for (uint32_t x : v) {
-      h ^= x + 0x9e3779b97f4a7c15ULL;
-      h *= 1099511628211ULL;
-    }
-    return h;
-  }
-};
-
-struct DoubleProb {
-  using Value = double;
-  static Value Zero() { return 0.0; }
-  static bool IsZero(const Value& v) { return v == 0.0; }
-  static Value Initial(const markov::MarkovSequence& mu, Symbol s) {
-    return mu.Initial(s);
-  }
-  static Value Transition(const markov::MarkovSequence& mu, int i, Symbol s,
-                          Symbol t) {
-    return mu.Transition(i, s, t);
-  }
-};
-
-struct RationalProb {
-  using Value = numeric::Rational;
-  static Value Zero() { return numeric::Rational(); }
-  static bool IsZero(const Value& v) { return v.IsZero(); }
-  static Value Initial(const markov::MarkovSequence& mu, Symbol s) {
-    return mu.InitialExact(s);
-  }
-  static Value Transition(const markov::MarkovSequence& mu, int i, Symbol s,
-                          Symbol t) {
-    return mu.TransitionExact(i, s, t);
-  }
-};
-
-int AdvanceExact(const Str& o, int j, const Str& w) {
-  for (Symbol c : w) {
-    if (j >= static_cast<int>(o.size()) || o[static_cast<size_t>(j)] != c) {
-      return -1;
-    }
-    ++j;
-  }
-  return j;
-}
+using internal::AdvanceExact;
+using internal::DoubleProb;
+using internal::RationalProb;
 
 template <typename P>
 StatusOr<typename P::Value> ExactImpl(const markov::MarkovSequence& mu,
@@ -75,60 +27,87 @@ StatusOr<typename P::Value> ExactImpl(const markov::MarkovSequence& mu,
   using Value = typename P::Value;
   const int n = mu.length();
   const size_t sigma = mu.nodes().size();
-  const uint32_t jdim = static_cast<uint32_t>(o.size()) + 1;
-  auto pack = [jdim](automata::StateId q, int j) {
-    return static_cast<uint32_t>(q) * jdim + static_cast<uint32_t>(j);
+  const size_t jdim = o.size() + 1;
+
+  // Number the (q, j) pairs reachable from (initial, 0) densely, in
+  // breadth-first order: every pair-set of the DP is a subset of them, so
+  // a pair-set is a bitset of `words` words over these numbers.
+  std::vector<int32_t> pair_index(static_cast<size_t>(t.num_states()) * jdim,
+                                  -1);
+  std::vector<size_t> pairs;  // packed q * jdim + j, by number
+  auto for_each_step = [&](size_t pair, size_t s2, auto&& visit) {
+    const size_t packed = pairs[pair];
+    const int j = static_cast<int>(packed % jdim);
+    for (const transducer::Edge& e :
+         t.Next(static_cast<automata::StateId>(packed / jdim),
+                static_cast<Symbol>(s2))) {
+      const int j2 = AdvanceExact(o, j, e.output);
+      if (j2 >= 0) {
+        visit(static_cast<size_t>(e.target) * jdim + static_cast<size_t>(j2));
+      }
+    }
+  };
+  auto number = [&](size_t packed) {
+    if (pair_index[packed] >= 0) return;
+    pair_index[packed] = static_cast<int32_t>(pairs.size());
+    pairs.push_back(packed);
+  };
+  number(static_cast<size_t>(t.initial()) * jdim);
+  for (size_t p = 0; p < pairs.size(); ++p) {
+    for (size_t s2 = 0; s2 < sigma; ++s2) for_each_step(p, s2, number);
+  }
+  const size_t words = (pairs.size() + 63) / 64;
+  auto set_bit = [](uint64_t* set, size_t bit) {
+    set[bit / 64] |= uint64_t{1} << (bit % 64);
+  };
+
+  // succ[(p * σ + s2) * words ..]: the pairs that input symbol s2 takes
+  // pair p to, tabulated once — the set step below only ORs these rows.
+  std::vector<uint64_t> succ(pairs.size() * sigma * words, 0);
+  for (size_t p = 0; p < pairs.size(); ++p) {
+    for (size_t s2 = 0; s2 < sigma; ++s2) {
+      uint64_t* row = &succ[(p * sigma + s2) * words];
+      for_each_step(p, s2, [&](size_t packed) {
+        set_bit(row, static_cast<size_t>(pair_index[packed]));
+      });
+    }
+  }
+  std::vector<uint64_t> accept(words, 0);
+  for (size_t p = 0; p < pairs.size(); ++p) {
+    if (pairs[p] % jdim == o.size() &&
+        t.IsAccepting(static_cast<automata::StateId>(pairs[p] / jdim))) {
+      set_bit(accept.data(), p);
+    }
+  }
+
+  // Writes the successor pair-sets of `set` on every input of `row` into
+  // step[s2 * words ..]: one pass over the set's pairs, each OR-ing its
+  // tabulated successor bitsets on those inputs.
+  std::vector<uint64_t> step(sigma * words);
+  auto step_sets = [&](const uint64_t* set, auto row) {
+    for (const auto& [s2, p] : row) std::fill_n(&step[s2 * words], words, 0);
+    for (size_t w = 0; w < words; ++w) {
+      for (uint64_t rest = set[w]; rest != 0; rest &= rest - 1) {
+        const size_t pair =
+            w * 64 + static_cast<size_t>(__builtin_ctzll(rest));
+        const uint64_t* from = &succ[pair * sigma * words];
+        for (const auto& [s2, p] : row) {
+          for (size_t v = s2 * words; v < (s2 + 1) * words; ++v) {
+            step[v] |= from[v];
+          }
+        }
+      }
+    }
+  };
+  auto nonempty = [&](const uint64_t* set) {
+    uint64_t any = 0;
+    for (size_t w = 0; w < words; ++w) any |= set[w];
+    return any != 0;
   };
 
   ExactConfidenceStats local_stats;
-
-  auto canonicalize = [](PairSet* v) {
-    std::sort(v->begin(), v->end());
-    v->erase(std::unique(v->begin(), v->end()), v->end());
-  };
-
-  // Successor pair-sets of each single (q, j) on each input symbol,
-  // tabulated once: the edge walk and AdvanceExact depend only on
-  // (packed, s2), not on the DP layer, so the per-layer loop below
-  // reduces to concatenating precomputed vectors (the canonicalize pass
-  // makes the result set identical to walking edges in place).
-  const size_t npacked = static_cast<size_t>(t.num_states()) * jdim;
-  std::vector<PairSet> succ(npacked * sigma);
-  for (size_t packed = 0; packed < npacked; ++packed) {
-    automata::StateId q =
-        static_cast<automata::StateId>(packed / jdim);
-    int j = static_cast<int>(packed % jdim);
-    for (size_t s2 = 0; s2 < sigma; ++s2) {
-      PairSet& out = succ[packed * sigma + s2];
-      for (const transducer::Edge& e :
-           t.Next(q, static_cast<Symbol>(s2))) {
-        int j2 = AdvanceExact(o, j, e.output);
-        if (j2 >= 0) out.push_back(pack(e.target, j2));
-      }
-    }
-  }
-  auto step_pair = [&](uint32_t packed, Symbol s2, PairSet* out) {
-    const PairSet& pre =
-        succ[static_cast<size_t>(packed) * sigma + static_cast<size_t>(s2)];
-    out->insert(out->end(), pre.begin(), pre.end());
-  };
-
-  // cur[s] : pair-set -> probability mass.
-  std::vector<std::unordered_map<PairSet, Value, PairSetHash>> cur(sigma);
-  for (size_t s = 0; s < sigma; ++s) {
-    Value p0 = P::Initial(mu, static_cast<Symbol>(s));
-    if (P::IsZero(p0)) continue;
-    PairSet set;
-    step_pair(pack(t.initial(), 0), static_cast<Symbol>(s), &set);
-    canonicalize(&set);
-    if (!set.empty()) cur[s][std::move(set)] += p0;
-  }
-
-  auto account_layer = [&](const auto& layer) -> Status {
-    int64_t width = 0;
-    for (const auto& by_node : layer) {
-      width += static_cast<int64_t>(by_node.size());
-    }
+  auto account_layer = [&](const internal::SubsetLayer<Value>& layer) {
+    const int64_t width = layer.width();
     local_stats.max_layer_width =
         std::max(local_stats.max_layer_width, width);
     local_stats.total_entries += width;
@@ -140,73 +119,48 @@ StatusOr<typename P::Value> ExactImpl(const markov::MarkovSequence& mu,
     }
     return Status::Ok();
   };
-  TMS_RETURN_IF_ERROR(account_layer(cur));
 
-  // Per-(layer, source-node) nonzero successor rows, hoisted out of the
-  // pair-set loop: the transition row depends only on (i, s), never on the
-  // DP set, so it is gathered once per layer instead of probed per live
-  // set × σ. For doubles the CSR row of the step (when present) *is* the
-  // nonzero pattern; Rational keeps a scalar scan because its support must
-  // come from the exact values themselves.
-  std::vector<std::pair<size_t, Value>> successors;
-  for (int i = 2; i <= n; ++i) {
-    std::vector<std::unordered_map<PairSet, Value, PairSetHash>> next(sigma);
-    for (size_t s = 0; s < sigma; ++s) {
-      if (cur[s].empty()) continue;
-      successors.clear();
-      if constexpr (std::is_same_v<P, DoubleProb>) {
-        kernels::MatrixRef view = mu.TransitionView(i - 1);
-        if (view.has_sparse) {
-          for (int32_t e = view.csr.row_off[s]; e < view.csr.row_off[s + 1];
-               ++e) {
-            successors.emplace_back(
-                static_cast<size_t>(view.csr.col_idx[e]),
-                view.csr.val[e]);
-          }
-        } else {
-          const double* row = view.dense.row(s);
-          for (size_t s2 = 0; s2 < sigma; ++s2) {
-            if (row[s2] > 0.0) successors.emplace_back(s2, row[s2]);
-          }
-        }
-      } else {
-        for (size_t s2 = 0; s2 < sigma; ++s2) {
-          Value step = P::Transition(mu, i - 1, static_cast<Symbol>(s),
-                                     static_cast<Symbol>(s2));
-          if (!P::IsZero(step)) successors.emplace_back(s2, std::move(step));
-        }
-      }
-      for (const auto& [set, mass] : cur[s]) {
-        for (const auto& [s2, step] : successors) {
-          PairSet set2;
-          for (uint32_t packed : set) {
-            step_pair(packed, static_cast<Symbol>(s2), &set2);
-          }
-          canonicalize(&set2);
-          if (set2.empty()) continue;
-          next[s2][std::move(set2)] += mass * step;
-        }
-      }
-    }
-    cur = std::move(next);
-    TMS_RETURN_IF_ERROR(account_layer(cur));
-  }
-
-  Value total = P::Zero();
-  const uint32_t jfinal = static_cast<uint32_t>(o.size());
+  // cur : (node, pair-set) -> probability mass of the world prefixes
+  // ending in that node whose runs reach exactly that pair-set.
+  internal::SubsetLayer<Value> cur(sigma, words);
+  internal::SubsetLayer<Value> next(sigma, words);
   for (size_t s = 0; s < sigma; ++s) {
-    for (const auto& [set, mass] : cur[s]) {
-      bool accepted = false;
-      for (uint32_t packed : set) {
-        if (packed % jdim == jfinal &&
-            t.IsAccepting(static_cast<automata::StateId>(packed / jdim))) {
-          accepted = true;
-          break;
-        }
-      }
-      if (accepted) total += mass;
-    }
+    Value p0 = P::Initial(mu, static_cast<Symbol>(s));
+    if (P::IsZero(p0)) continue;
+    // Pair 0 is (initial, 0); its row on s is the first layer's set.
+    const uint64_t* set = &succ[s * words];
+    if (nonempty(set)) cur.Add(s, set, std::move(p0));
   }
+  Status budget = account_layer(cur);
+
+  internal::SuccessorRows<P> rows(sigma);
+  for (int i = 2; budget.ok() && i <= n; ++i) {
+    rows.Gather(mu, i, cur);
+    next.Clear();
+    cur.ForEachCell([&](size_t s, const uint64_t* set, const Value& mass) {
+      const auto row = rows.row(s);
+      step_sets(set, row);
+      for (const auto& [s2, p] : row) {
+        const uint64_t* set2 = &step[s2 * words];
+        if (nonempty(set2)) next.Add(s2, set2, mass * p);
+      }
+    });
+    std::swap(cur, next);
+    budget = account_layer(cur);
+  }
+  if (!budget.ok()) return budget;
+
+  // A world contributes iff its final pair-set holds an accepting state
+  // paired with position |o|.
+  Value total = P::Zero();
+  cur.ForEachCell([&](size_t, const uint64_t* set, const Value& mass) {
+    for (size_t w = 0; w < words; ++w) {
+      if ((set[w] & accept[w]) != 0) {
+        total += mass;
+        return;
+      }
+    }
+  });
   if (stats != nullptr) *stats = local_stats;
   return total;
 }

@@ -11,6 +11,9 @@
 // contributes iff its final pair-set contains an accepting state paired
 // with position |o|.
 //
+// Pair-sets are bitsets over the pairs reachable from (initial, 0), and a
+// layer is a query/subset_dp.h SubsetLayer (docs/ALGORITHMS.md).
+//
 // The running time is polynomial in the number of *distinct reachable
 // pair-sets* — at most 2^{|Q|·(|o|+1)} (the hardness manifests as blowup on
 // adversarial instances such as the Theorem 4.9 reduction family) but

@@ -75,7 +75,11 @@ StatusOr<IndependentSetInstance> IndependentSetToSProjector(const Graph& g,
   }
   const int v_count = g.num_vertices;
   Alphabet sigma;
-  for (int v = 0; v < v_count; ++v) sigma.Intern("v" + std::to_string(v));
+  for (int v = 0; v < v_count; ++v) {
+    std::string name = "v";
+    name += std::to_string(v);
+    sigma.Intern(name);
+  }
   const Symbol hash = sigma.Intern("#");
   const size_t k = sigma.size();
 

@@ -117,8 +117,12 @@ StatusOr<Max3DnfInstance> Max3DnfToMealy(const Dnf3Formula& formula,
   Alphabet input;
   for (int j = 0; j < k; ++j) {
     for (int v = 0; v < m; ++v) {
-      input.Intern("c" + std::to_string(j) + "v" + std::to_string(v) + "b0");
-      input.Intern("c" + std::to_string(j) + "v" + std::to_string(v) + "b1");
+      std::string name = "c";
+      name += std::to_string(j);
+      name += 'v';
+      name += std::to_string(v);
+      input.Intern(name + "b0");
+      input.Intern(name + "b1");
     }
   }
   auto sym = [m](int j, int v, bool bit) {

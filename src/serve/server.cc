@@ -584,21 +584,6 @@ void HttpServer::HandleBatch(int fd, RequestReader* reader,
                                  ? std::move(*query.transducer)
                                  : query.sprojector->ToTransducer();
 
-  // The shard: every registered model, keyed by model name. The batch
-  // layer requires one common alphabet; a mixed registry is a 400, not a
-  // crash.
-  const std::vector<std::string> names = registry_.Names();
-  db::SequenceCollection collection(
-      names.empty() ? t.input_alphabet()
-                    : registry_.Find(names.front())->nodes());
-  for (const std::string& name : names) {
-    Status inserted = collection.Insert(name, *registry_.Find(name));
-    if (!inserted.ok()) {
-      SendJsonError(fd, 400, "model '" + name + "': " + inserted.ToString());
-      return;
-    }
-  }
-
   obs::QueryScope scope("serve.batch");
   exec::RunContext run;
   run.set_cancel_token(drain_);
@@ -606,28 +591,64 @@ void HttpServer::HandleBatch(int fd, RequestReader* reader,
   if (params.max_answers >= 0) run.set_max_answers(params.max_answers);
   if (params.budget >= 0) run.set_work_budget(params.budget);
 
-  db::BatchEvaluator::Options batch_options;
-  batch_options.pool = pool_.get();
-  batch_options.run = &run;
-  batch_options.backend = params.backend;
-  batch_options.optimize = params.optimize;
-  auto batch = db::BatchEvaluator::Create(&collection, &t, batch_options);
-  if (!batch.ok()) {
-    SendJsonError(fd, 400, batch.status().ToString());
-    return;
-  }
-  std::vector<db::BatchEvaluator::SequenceResult> results =
-      batch->EvaluateAll(params.k);
-
-  // Per-shard coverage, the shard's own account for the merged footer.
+  // Evaluate the shard, keeping only what the stream needs: the ranked
+  // rows, already serialized, and the per-shard coverage. The collection
+  // copy and the evaluator with its composition cache die with this
+  // block, before the first row is written, so a slow reader never pins
+  // them, and the write loop below allocates nothing.
+  std::vector<std::string> lines;
+  size_t sequences = 0;
   int64_t failed_sequences = 0;
   bool truncated = false;
   exec::StopReason reason = exec::StopReason::kNone;
-  for (const db::BatchEvaluator::SequenceResult& r : results) {
-    if (!r.status.ok()) ++failed_sequences;
-    if (r.truncated && !truncated) {
-      truncated = true;
-      reason = r.reason;
+  {
+    // The shard: every registered model, keyed by model name. The batch
+    // layer requires one common alphabet; a mixed registry is a 400, not
+    // a crash.
+    const std::vector<std::string> names = registry_.Names();
+    db::SequenceCollection collection(
+        names.empty() ? t.input_alphabet()
+                      : registry_.Find(names.front())->nodes());
+    for (const std::string& name : names) {
+      Status inserted = collection.Insert(name, *registry_.Find(name));
+      if (!inserted.ok()) {
+        SendJsonError(fd, 400,
+                      "model '" + name + "': " + inserted.ToString());
+        return;
+      }
+    }
+
+    db::BatchEvaluator::Options batch_options;
+    batch_options.pool = pool_.get();
+    batch_options.run = &run;
+    batch_options.backend = params.backend;
+    batch_options.optimize = params.optimize;
+    auto batch = db::BatchEvaluator::Create(&collection, &t, batch_options);
+    if (!batch.ok()) {
+      SendJsonError(fd, 400, batch.status().ToString());
+      return;
+    }
+    const std::vector<db::BatchEvaluator::SequenceResult> results =
+        batch->EvaluateAll(params.k);
+
+    // Per-shard coverage, the shard's own account for the merged footer.
+    sequences = results.size();
+    for (const db::BatchEvaluator::SequenceResult& r : results) {
+      if (!r.status.ok()) ++failed_sequences;
+      if (r.truncated && !truncated) {
+        truncated = true;
+        reason = r.reason;
+      }
+    }
+    // Rows are byte-identical to `tms_cli batch --shards` by shared
+    // serializer.
+    for (const dist::RankedRow& row : dist::RankedReferenceRows(results)) {
+      std::string line;
+      AppendBatchRowJson(row.key,
+                         FormatStr(t.output_alphabet(), row.answer.output),
+                         row.answer.emax, row.answer.confidence, &line);
+      line += '\n';
+      lines.push_back(std::move(line));
     }
   }
 
@@ -640,10 +661,9 @@ void HttpServer::HandleBatch(int fd, RequestReader* reader,
   ChunkedWriter writer(fd);
 
   // Batch-then-stream: ranking is global over the shard, so the first
-  // row can only be known once every sequence has evaluated. Rows are
-  // byte-identical to `tms_cli batch --shards` by shared serializer.
+  // row can only be known once every sequence has evaluated.
   bool client_alive = true;
-  for (const dist::RankedRow& row : dist::RankedReferenceRows(results)) {
+  for (const std::string& line : lines) {
     if (TMS_FAULT_POINT("dist.mid_stream")) {
       // An armed `exit` action never returns; a `fail` action simulates
       // the worker dying here — cut the stream without a footer, exactly
@@ -651,11 +671,6 @@ void HttpServer::HandleBatch(int fd, RequestReader* reader,
       TMS_OBS_COUNT("dist.worker.stream_faults", 1);
       return;
     }
-    std::string line;
-    AppendBatchRowJson(row.key,
-                       FormatStr(t.output_alphabet(), row.answer.output),
-                       row.answer.emax, row.answer.confidence, &line);
-    line += '\n';
     client_alive = writer.WriteChunk(line);
     if (!client_alive) break;
     TMS_OBS_COUNT("dist.worker.rows_streamed", 1);
@@ -671,7 +686,7 @@ void HttpServer::HandleBatch(int fd, RequestReader* reader,
   std::string footer = "{\"done\":true,\"shard\":";
   footer += std::to_string(params.shard);
   footer += ",\"coverage\":{\"sequences\":";
-  footer += std::to_string(results.size());
+  footer += std::to_string(sequences);
   footer += ",\"failed_sequences\":";
   footer += std::to_string(failed_sequences);
   footer += ",\"truncated\":";

@@ -52,7 +52,11 @@ StatusOr<hmm::Hmm> BuildMotifHmm(const MotifConfig& config) {
   const int k = static_cast<int>(config.consensus.size());
   Alphabet states;
   states.Intern("bg");
-  for (int i = 1; i <= k; ++i) states.Intern("m" + std::to_string(i));
+  for (int i = 1; i <= k; ++i) {
+    std::string name = "m";
+    name += std::to_string(i);
+    states.Intern(name);
+  }
   Alphabet bases = DnaAlphabet();
   const size_t ns = states.size();
 

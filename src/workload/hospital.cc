@@ -13,7 +13,11 @@ int NumPlaces(const HospitalConfig& c) { return c.num_rooms + 2; }
 
 std::string LocationName(const HospitalConfig& c, int place, int subloc) {
   std::string suffix(1, static_cast<char>('a' + subloc));
-  if (place < c.num_rooms) return "r" + std::to_string(place + 1) + suffix;
+  if (place < c.num_rooms) {
+    std::string name = "r";
+    name += std::to_string(place + 1);
+    return name + suffix;
+  }
   if (place == c.num_rooms) return "h" + suffix;
   return "l" + suffix;
 }

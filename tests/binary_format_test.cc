@@ -7,6 +7,7 @@
 #include "io/binary_format.h"
 
 #include <sys/stat.h>
+#include <unistd.h>
 
 #include <cerrno>
 #include <cstdint>
@@ -196,14 +197,28 @@ TEST(BinaryFormatTest, SnapshotFedToTextParserFailsCleanly) {
 class SnapshotFlowTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    dir_ = ::testing::TempDir() + "binary_format_test";
-    (void)std::remove((dir_ + "/m.tms").c_str());
-    (void)std::remove((dir_ + "/m.tms.tmsb").c_str());
+    // ctest runs every case as its own process, concurrently under -j, so
+    // each case (and each process) gets a directory of its own.
+    dir_ = ::testing::TempDir() + "binary_format_test." +
+           ::testing::UnitTest::GetInstance()->current_test_info()->name() +
+           "." + std::to_string(getpid());
+    RemoveFiles();
     // TempDir always exists; our subdir may not.
     mkdir_ok_ = (mkdir(dir_.c_str(), 0755) == 0 || errno == EEXIST);
     ASSERT_TRUE(mkdir_ok_);
     path_ = dir_ + "/m.tms";
     obs::SetEnabled(true);
+  }
+
+  void TearDown() override {
+    RemoveFiles();
+    (void)rmdir(dir_.c_str());
+  }
+
+  void RemoveFiles() {
+    for (const char* name : {"/m.tms", "/m.tms.tmsb", "/m.tmsb_standalone"}) {
+      (void)std::remove((dir_ + name).c_str());
+    }
   }
 
   void WriteText(const std::string& path, const std::string& text) {

@@ -15,7 +15,10 @@ struct SweepParam {
   int sigma;
   int n;
   int states;
-  bool deterministic;
+  // An int, not a bool: each ctest name is a byte dump of the param, and
+  // a bool here would put three uninitialized padding bytes in that dump,
+  // so the name would change from one test discovery to the next.
+  int deterministic;
   int uniform_k;  // -1 = non-uniform
 };
 
@@ -32,7 +35,7 @@ TEST_P(ConfidenceSweep, MatchesBruteForce) {
         workload::RandomMarkovSequence(param.sigma, param.n, param.sigma, rng);
     workload::RandomTransducerOptions opts;
     opts.num_states = param.states;
-    opts.deterministic = param.deterministic;
+    opts.deterministic = param.deterministic != 0;
     opts.uniform_k = param.uniform_k;
     opts.max_emission = 2;
     transducer::Transducer t =

@@ -137,7 +137,10 @@ TEST(DistEquivalenceTest, ShardedStreamMatchesReferenceEverywhere) {
 TEST(DistEquivalenceTest, ShardPlanIsContiguousBalancedAndComplete) {
   for (int n : {0, 1, 5, 6, 17}) {
     std::vector<std::string> keys;
-    for (int i = 0; i < n; ++i) keys.push_back("k" + std::to_string(i));
+    for (int i = 0; i < n; ++i) {
+      keys.push_back("k");
+      keys.back() += std::to_string(i);
+    }
     for (int shards : {1, 2, 4, 8}) {
       std::vector<dist::ShardRange> plan = dist::PlanShards(keys, shards);
       ASSERT_EQ(plan.size(), static_cast<size_t>(shards));

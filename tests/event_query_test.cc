@@ -89,9 +89,10 @@ TEST(EventQueryTest, CollectionSeries) {
   Alphabet nodes = workload::MakeSymbols(2, "n");
   SequenceCollection c(nodes);
   for (int i = 0; i < 3; ++i) {
-    ASSERT_TRUE(c.Insert("k" + std::to_string(i),
-                         workload::RandomMarkovSequence(2, 4, 2, rng))
-                    .ok());
+    std::string key = "k";
+    key += std::to_string(i);
+    ASSERT_TRUE(
+        c.Insert(key, workload::RandomMarkovSequence(2, 4, 2, rng)).ok());
   }
   auto dfa = automata::CompileRegexToDfa(nodes, ". * n0");
   ASSERT_TRUE(dfa.ok());

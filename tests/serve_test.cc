@@ -461,6 +461,7 @@ TEST_F(ServeTest, DrainModeRefusesEveryQuery) {
 }
 
 TEST_F(ServeTest, OverLimitQueryGets429WhileSlotIsHeld) {
+  obs::SetEnabled(true);  // the in-flight gauge below must be collected
   ServerOptions options;
   options.max_inflight = 1;
   StartServer(options);
@@ -479,13 +480,25 @@ TEST_F(ServeTest, OverLimitQueryGets429WhileSlotIsHeld) {
   ASSERT_EQ(send(holder, body.data(), 4, MSG_NOSIGNAL), 4);
 
   // Wait until A actually occupies the slot (ReadBody runs after the
-  // gate): poll B until it sees 429.
-  auto rejected = ParseResponse(Post(port_, "/query/fig1?k=1", body));
-  for (int attempt = 0; attempt < 100; ++attempt) {
-    if (rejected.has_value() && rejected->code == 429) break;
-    std::this_thread::sleep_for(std::chrono::milliseconds(10));
-    rejected = ParseResponse(Post(port_, "/query/fig1?k=1", body));
+  // gate), then send B once. A B sent earlier could take the slot itself
+  // and leave A with the 429.
+#if TMS_OBS_ACTIVE
+  // The server's in-flight gauge says when A holds the slot.
+  bool held = false;
+  for (int attempt = 0; attempt < 500 && !held; ++attempt) {
+    auto metrics = ParseResponse(Get(port_, "/metrics"));
+    held = metrics.has_value() &&
+           metrics->body.find("\ntms_serve_admission_inflight 1\n") !=
+               std::string::npos;
+    if (!held) std::this_thread::sleep_for(std::chrono::milliseconds(10));
   }
+  ASSERT_TRUE(held) << "A never reached the admission gate";
+#else
+  // Compiled-out instrumentation exports no gauge; give A's connection
+  // thread time to pass the gate.
+  std::this_thread::sleep_for(std::chrono::milliseconds(200));
+#endif
+  auto rejected = ParseResponse(Post(port_, "/query/fig1?k=1", body));
   ASSERT_TRUE(rejected.has_value());
   EXPECT_EQ(rejected->code, 429);
 

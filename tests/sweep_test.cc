@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include <ostream>
 #include <set>
 #include <string>
 
@@ -93,6 +94,14 @@ struct SProjectorParam {
   int n;
   int states;
 };
+
+// Each ctest name carries the printed param. gtest's default byte dump
+// would include the address held in `name`, which changes from one test
+// discovery to the next, so print the fields instead.
+void PrintTo(const SProjectorParam& param, std::ostream* os) {
+  *os << "sigma=" << param.sigma << " n=" << param.n
+      << " states=" << param.states;
+}
 
 class SProjectorSweep : public ::testing::TestWithParam<SProjectorParam> {};
 

@@ -22,7 +22,12 @@
 #              + fault suites plus the dist_smoke end-to-end script
 #              (real workers on ephemeral ports, topology byte-identity,
 #              an injected mid-stream crash, a dead worker)
-#   7. bench:  enumeration + kernel bench reports
+#   7. release: -DCMAKE_BUILD_TYPE=Release build (build-release/), full
+#              test suite — GCC's -O3 warnings are errors here too
+#   8. repeat: `ctest --repeat until-fail:20` over the serve, dist and
+#              robustness labels in the default build, so a flaky test
+#              fails CI instead of passing by luck
+#   9. bench:  enumeration + kernel bench reports
 #              (BENCH_enumeration_delay.json, BENCH_enumeration_emax.json,
 #              BENCH_twostep_vs_ranked.json, BENCH_sparse_scaling.json,
 #              BENCH_optimize.json, BENCH_shard_merge.json)
@@ -32,9 +37,10 @@
 #              TMS_UPDATE_BASELINES=1 to refresh bench/baselines/
 #
 # Build trees are reused across runs (build/, build-asan/, build-tsan/,
-# build-off/ under the repo root), so incremental invocations are cheap.
-# Pass a stage name (tier1 | asan | tsan | off | serve | dist | bench) to
-# run just that stage; default is all seven.
+# build-off/, build-release/ under the repo root), so incremental
+# invocations are cheap. Pass a stage name (tier1 | asan | tsan | off |
+# serve | dist | release | repeat | bench) to run just that stage; default
+# is all nine.
 #
 #   tools/ci_verify.sh            # everything
 #   tools/ci_verify.sh tsan       # just the TSan stage
@@ -126,6 +132,17 @@ case "$STAGE" in
     ;;
 esac
 case "$STAGE" in
+  release|all)
+    run_stage release "$ROOT/build-release" -- -DCMAKE_BUILD_TYPE=Release
+    ;;
+esac
+case "$STAGE" in
+  repeat|all)
+    run_stage repeat "$ROOT/build" -L "serve|dist|robustness" \
+      --no-tests=error --repeat until-fail:20 --
+    ;;
+esac
+case "$STAGE" in
   bench|all)
     BENCHES="bench_enumeration_delay bench_enumeration_emax \
              bench_twostep_vs_ranked bench_sparse_scaling bench_optimize \
@@ -153,9 +170,9 @@ case "$STAGE" in
     ;;
 esac
 case "$STAGE" in
-  tier1|asan|tsan|off|serve|dist|bench|all) ;;
+  tier1|asan|tsan|off|serve|dist|release|repeat|bench|all) ;;
   *)
-    echo "usage: $0 [tier1|asan|tsan|off|serve|dist|bench|all]" >&2
+    echo "usage: $0 [tier1|asan|tsan|off|serve|dist|release|repeat|bench|all]" >&2
     exit 2
     ;;
 esac
