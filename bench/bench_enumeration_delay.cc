@@ -217,9 +217,7 @@ void PrintMultiThread() {
       RunAsQuery("emax.threads=" + std::to_string(threads) +
                      ".n=" + std::to_string(n),
                  threads, [&] {
-        query::EmaxEnumerator it(
-            inst.mu, inst.t,
-            query::EmaxEnumerator::Options{pool.get(), nullptr});
+        query::EmaxEnumerator it(inst.mu, inst.t, {.pool = pool.get()});
         Stopwatch wall;
         while (static_cast<int>(answers.size()) < 100) {
           auto answer = it.Next();
@@ -319,9 +317,7 @@ bool PrintBounded() {
     // construction included.
     Stopwatch wall;
     run.set_deadline_after_ms(deadline_ms);
-    query::EmaxEnumerator it(
-        inst.mu, inst.t,
-        query::EmaxEnumerator::Options{nullptr, nullptr, &run});
+    query::EmaxEnumerator it(inst.mu, inst.t, {.run = &run});
     std::vector<ranking::ScoredAnswer> answers;
     while (true) {
       auto answer = it.Next();
@@ -374,9 +370,8 @@ bool PrintBounded() {
       if (threads > 1) {
         pool = std::make_unique<exec::ThreadPool>(threads - 1);
       }
-      query::EmaxEnumerator it(
-          inst.mu, inst.t,
-          query::EmaxEnumerator::Options{pool.get(), nullptr, &run});
+      query::EmaxEnumerator it(inst.mu, inst.t,
+                               {.pool = pool.get(), .run = &run});
       std::vector<ranking::ScoredAnswer> answers;
       while (true) {
         auto answer = it.Next();
@@ -418,9 +413,7 @@ bool PrintBounded() {
   {
     exec::RunContext run;
     run.set_max_answers(2);
-    query::EmaxEnumerator it(
-        inst.mu, inst.t,
-        query::EmaxEnumerator::Options{nullptr, nullptr, &run});
+    query::EmaxEnumerator it(inst.mu, inst.t, {.run = &run});
     while (it.Next().has_value()) {
     }
   }

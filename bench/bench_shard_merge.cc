@@ -115,7 +115,7 @@ void PrintShardTable() {
   for (int shards : {1, 2, 4, 8}) {
     dist::ShardedBatchOptions options;
     options.shards = shards;
-    options.threads = 4;
+    options.batch.threads = 4;
     Stopwatch watch;
     auto sharded = dist::EvaluateSharded(inst.collection, inst.query, k,
                                          options);

@@ -54,11 +54,11 @@ void PrintReproduction() {
     auto eval = query::Evaluator::Create(&inst.mu, &inst.t);
 
     Stopwatch two_step;
-    auto all = eval->EvaluateTwoStep(/*with_confidence=*/true);
+    auto all = eval->EvaluateTwoStep();
     double two_step_ms = two_step.ElapsedSeconds() * 1e3;
 
     Stopwatch ranked;
-    auto topk = eval->TopK(10, /*with_confidence=*/true);
+    auto topk = eval->TopK(10);
     double ranked_ms = ranked.ElapsedSeconds() * 1e3;
 
     std::printf("%-6d %-12zu %-18.2f %-16.2f\n", n, all->size(),
@@ -131,28 +131,37 @@ void PrintBatchReproduction() {
       continue;
     }
     Stopwatch wall;
-    auto got = batch->TopKPerSequence(kTopK);
+    const std::vector<db::BatchEvaluator::SequenceResult> results =
+        batch->EvaluateAll(kTopK);
     double total_ms = wall.ElapsedSeconds() * 1e3;
-    if (!got.ok()) {
+    std::vector<db::SequenceCollection::Row> got;
+    Status failed;
+    for (const db::BatchEvaluator::SequenceResult& r : results) {
+      if (!r.status.ok() && failed.ok()) failed = r.status;
+      for (const query::AnswerInfo& info : r.answers) {
+        got.push_back(db::SequenceCollection::Row{r.key, info});
+      }
+    }
+    if (!failed.ok()) {
       bench::Report::Global().AddSkip("E10b: batch scan failed: " +
-                                      got.status().message());
+                                      failed.message());
       continue;
     }
-    bool identical = got->size() == want->size();
-    for (size_t i = 0; identical && i < got->size(); ++i) {
-      identical = (*got)[i].key == (*want)[i].key &&
-                  (*got)[i].answer.output == (*want)[i].answer.output &&
-                  (*got)[i].answer.emax == (*want)[i].answer.emax &&
-                  (*got)[i].answer.confidence == (*want)[i].answer.confidence;
+    bool identical = got.size() == want->size();
+    for (size_t i = 0; identical && i < got.size(); ++i) {
+      identical = got[i].key == (*want)[i].key &&
+                  got[i].answer.output == (*want)[i].answer.output &&
+                  got[i].answer.emax == (*want)[i].answer.emax &&
+                  got[i].answer.confidence == (*want)[i].answer.confidence;
     }
     auto stats = batch->cache_stats();
     std::printf("%-10s %-8d %-8zu %-12.2f %-10s %-10lld\n", "batch", threads,
-                got->size(), total_ms, identical ? "yes" : "NO",
+                got.size(), total_ms, identical ? "yes" : "NO",
                 static_cast<long long>(stats.hits));
     std::string prefix = "batch.threads=" + std::to_string(threads) + ".";
     bench::Report::Global().AddMetric(prefix + "total_ms", total_ms);
     bench::Report::Global().AddMetric(prefix + "rows",
-                                      static_cast<double>(got->size()));
+                                      static_cast<double>(got.size()));
     bench::Report::Global().AddMetric(prefix + "identical",
                                       identical ? 1.0 : 0.0);
     bench::Report::Global().AddMetric(prefix + "cache_hits",

@@ -25,9 +25,9 @@ enum class BoolOp { kAnd, kOr, kDiff };
 /// states (only reachable subsets are materialized).
 Dfa Determinize(const Nfa& nfa);
 
-/// Hopcroft minimization of a complete DFA (unreachable states are dropped
-/// first). The result accepts the same language with the minimum number of
-/// states.
+/// Moore partition-refinement minimization of a complete DFA (unreachable
+/// states are dropped first). The result accepts the same language with
+/// the minimum number of states.
 Dfa Minimize(const Dfa& dfa);
 
 /// Product automaton computing L(a) op L(b). Alphabets must be equal.

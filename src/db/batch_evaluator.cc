@@ -15,8 +15,7 @@ BatchEvaluator::BatchEvaluator(const SequenceCollection* collection,
     : collection_(collection),
       t_(t),
       options_(options),
-      cache_(std::make_unique<transducer::CompositionCache>(
-          t, options.cache_max_bytes)),
+      cache_(std::make_unique<transducer::CompositionCache>(t)),
       owned_pool_(options.pool != nullptr
                       ? nullptr
                       : std::make_unique<exec::ThreadPool>(
@@ -35,68 +34,14 @@ StatusOr<BatchEvaluator> BatchEvaluator::Create(
   return BatchEvaluator(collection, t, options);
 }
 
-StatusOr<std::vector<SequenceCollection::Row>>
-BatchEvaluator::TopKPerSequence(int k, bool with_confidence) {
-  TMS_OBS_SPAN("db.batch.topk");
-  const std::vector<std::string> keys = collection_->Keys();  // sorted
-  struct PerSequence {
-    Status status;  // default OK
-    std::vector<query::AnswerInfo> answers;
-  };
-  // One item per sequence; each evaluation only reads its own μ, the
-  // shared transducer, and the thread-safe composition cache. The answer
-  // parallelism inside each evaluation stays off (no nested pool) — the
-  // batch dimension already saturates the workers.
-  std::vector<PerSequence> solved =
-      pool()->ParallelMap<PerSequence>(
-          static_cast<int64_t>(keys.size()),
-          [this, k, with_confidence, &keys](int64_t i) {
-            PerSequence out;
-            auto mu = collection_->Get(keys[static_cast<size_t>(i)]);
-            if (!mu.ok()) {
-              out.status = mu.status();
-              return out;
-            }
-            auto eval = query::Evaluator::Create(*mu, t_);
-            if (!eval.ok()) {
-              out.status = eval.status();
-              return out;
-            }
-            query::Evaluator::Execution execution;
-            execution.cache = cache_.get();
-            execution.backend = options_.backend;
-            execution.optimize = options_.optimize;
-            eval->set_execution(execution);
-            auto topk = eval->TopK(k, with_confidence);
-            if (!topk.ok()) {
-              out.status = topk.status();
-              return out;
-            }
-            out.answers = std::move(*topk);
-            TMS_OBS_COUNT("db.batch.sequences", 1);
-            return out;
-          });
-  // Deterministic merge: key order, then per-sequence rank order —
-  // exactly the rows the sequential loop produces.
-  std::vector<SequenceCollection::Row> rows;
-  for (size_t i = 0; i < keys.size(); ++i) {
-    if (!solved[i].status.ok()) return solved[i].status;
-    for (query::AnswerInfo& info : solved[i].answers) {
-      rows.push_back(SequenceCollection::Row{keys[i], std::move(info)});
-    }
-  }
-  TMS_OBS_COUNT("db.batch.answers", static_cast<int64_t>(rows.size()));
-  return rows;
-}
-
 std::vector<BatchEvaluator::SequenceResult> BatchEvaluator::EvaluateAll(
-    int k, bool with_confidence) {
+    int k) {
   TMS_OBS_SPAN("db.batch.evaluate_all");
   const std::vector<std::string> keys = collection_->Keys();  // sorted
   exec::RunContext* batch_run = options_.run;
   std::vector<SequenceResult> results = pool()->ParallelMap<SequenceResult>(
       static_cast<int64_t>(keys.size()),
-      [this, k, with_confidence, &keys, batch_run](int64_t i) {
+      [this, k, &keys, batch_run](int64_t i) {
         SequenceResult out;
         out.key = keys[static_cast<size_t>(i)];
         if (TMS_FAULT_POINT("batch.pre_sequence")) {
@@ -128,13 +73,11 @@ std::vector<BatchEvaluator::SequenceResult> BatchEvaluator::EvaluateAll(
           TMS_OBS_COUNT("db.batch.failures", 1);
           return out;
         }
-        query::Evaluator::Execution execution;
-        execution.cache = cache_.get();
-        execution.run = run;
-        execution.backend = options_.backend;
-        execution.optimize = options_.optimize;
-        eval->set_execution(execution);
-        auto topk = eval->TopK(k, with_confidence);
+        eval->set_execution({.cache = cache_.get(),
+                             .run = run,
+                             .backend = options_.backend,
+                             .optimize = options_.optimize});
+        auto topk = eval->TopK(k);
         if (!topk.ok()) {
           out.status = topk.status();
           TMS_OBS_COUNT("db.batch.failures", 1);

@@ -11,9 +11,9 @@
 //     the first sequence warms it, the remaining evaluations skip their
 //     composition work entirely (watch `cache.hits` climb).
 //
-// Results are merged in collection key order (then per-sequence rank
-// order), so the output is byte-identical to SequenceCollection's
-// sequential TopKPerSequence at every thread count.
+// Results come back in collection key order (then per-sequence rank
+// order), so the answers are byte-identical to SequenceCollection's
+// sequential per-sequence scan at every thread count.
 
 #ifndef TMS_DB_BATCH_EVALUATOR_H_
 #define TMS_DB_BATCH_EVALUATOR_H_
@@ -48,14 +48,10 @@ class BatchEvaluator {
     /// separable because every ParallelFor batch carries its opener's
     /// obs::QueryScope context.
     exec::ThreadPool* pool = nullptr;
-    /// Budget of the shared composition cache.
-    size_t cache_max_bytes = transducer::CompositionCache::kDefaultMaxBytes;
     /// Optional, non-owning. Bounds the whole batch: the deadline, work
     /// budget, and cancel token are shared across every sequence (one
     /// global pool), while each sequence evaluates under its own
     /// `run->Child()` stream so truncation is reported per sequence.
-    /// Only EvaluateAll consumes it; TopKPerSequence ignores it (its
-    /// first-error contract predates bounded execution).
     exec::RunContext* run = nullptr;
     /// Kernel path of every per-sequence DP (kernels/backend.h). Results
     /// are byte-identical either way; auto picks per sequence density.
@@ -95,19 +91,13 @@ class BatchEvaluator {
     return Create(collection, t, Options());
   }
 
-  /// Per-sequence top-k answers by E_max (confidences attached when
-  /// `with_confidence`), evaluated concurrently and merged in key order.
-  /// Aborts on the first per-sequence error (legacy contract); use
-  /// EvaluateAll for error isolation and bounded execution.
-  StatusOr<std::vector<SequenceCollection::Row>> TopKPerSequence(
-      int k, bool with_confidence = true);
-
-  /// Like TopKPerSequence, but failure-isolating: one sequence failing —
+  /// Per-sequence top-k answers by E_max, each with its confidence,
+  /// evaluated concurrently. Failure-isolating: one sequence failing —
   /// bad input, an injected fault, or a shared limit firing mid-batch —
   /// produces a non-OK SequenceResult::status for that sequence while the
   /// batch itself always completes. Results come back in key order. An
   /// empty collection yields an empty vector, not an error.
-  std::vector<SequenceResult> EvaluateAll(int k, bool with_confidence = true);
+  std::vector<SequenceResult> EvaluateAll(int k);
 
   int threads() const { return options_.threads; }
   transducer::CompositionCache::Stats cache_stats() const {

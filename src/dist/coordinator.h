@@ -4,10 +4,10 @@
 // globally ranked stream.
 //
 // The coordinator never re-serializes an answer: merged rows are the
-// workers' verbatim line bytes (byte-identical to what a single-process
-// `tms_cli batch --shards` prints), and the trailing footer carries the
-// per-shard coverage. A worker that cannot be reached, dies mid-stream,
-// or reports truncation degrades coverage — it never fails the batch.
+// workers' verbatim line bytes (serve::AppendBatchRowJson), and the
+// trailing footer carries the per-shard coverage. A worker that cannot be
+// reached, dies mid-stream, or reports truncation degrades coverage — it
+// never fails the batch.
 
 #ifndef TMS_DIST_COORDINATOR_H_
 #define TMS_DIST_COORDINATOR_H_

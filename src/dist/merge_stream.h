@@ -58,8 +58,7 @@ struct ShardCoverage {
 };
 
 /// Serializes coverage as one JSON array — the "shards" member of the
-/// merged stream's footer, shared byte-for-byte by `tms_cli batch
-/// --shards`, `tms_cli dist`, and the coordinator:
+/// merged stream's footer that `tms_cli dist` prints:
 ///   [{"shard":0,"sequences":2,"failed_sequences":0,"answers":5,
 ///     "complete":true,"truncated":false,"reason":"NONE"[,"error":"…"]},…]
 /// `complete` is `!failed && !truncated` — true iff this shard's answers

@@ -40,7 +40,7 @@ bool ShardedBatchResult::complete() const {
 
 StatusOr<ShardedBatchResult> EvaluateSharded(
     const db::SequenceCollection& collection, const transducer::Transducer& t,
-    int k, const ShardedBatchOptions& options, bool with_confidence) {
+    int k, const ShardedBatchOptions& options) {
   TMS_OBS_COUNT("dist.batches", 1);
   const std::vector<ShardRange> plan =
       PlanShards(collection.Keys(), options.shards);
@@ -61,16 +61,10 @@ StatusOr<ShardedBatchResult> EvaluateSharded(
     }
     auto shard = BuildShard(collection, range);
     if (!shard.ok()) return shard.status();
-    db::BatchEvaluator::Options batch_options;
-    batch_options.threads = options.threads;
-    batch_options.run = options.run;
-    batch_options.backend = options.backend;
-    batch_options.optimize = options.optimize;
-    batch_options.cache_max_bytes = options.cache_max_bytes;
-    auto batch = db::BatchEvaluator::Create(&*shard, &t, batch_options);
+    auto batch = db::BatchEvaluator::Create(&*shard, &t, options.batch);
     if (!batch.ok()) return batch.status();
     std::vector<db::BatchEvaluator::SequenceResult> results =
-        batch->EvaluateAll(k, with_confidence);
+        batch->EvaluateAll(k);
     coverage.sequences = static_cast<int64_t>(results.size());
     for (const db::BatchEvaluator::SequenceResult& r : results) {
       if (!r.status.ok()) ++coverage.failed_sequences;

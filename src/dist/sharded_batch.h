@@ -28,10 +28,6 @@
 #include "db/batch_evaluator.h"
 #include "db/collection.h"
 #include "dist/merge_stream.h"
-#include "exec/run_context.h"
-#include "kernels/backend.h"
-#include "optimize/level.h"
-#include "transducer/composition_cache.h"
 #include "transducer/transducer.h"
 
 namespace tms::dist {
@@ -53,16 +49,10 @@ std::vector<RankedRow> RankedReferenceRows(
 
 struct ShardedBatchOptions {
   int shards = 1;
-  /// Per-shard evaluation concurrency (BatchEvaluator::Options::threads).
-  int threads = 1;
-  /// Optional, non-owning: bounds the whole sharded batch (shared
-  /// deadline / budget / cancel, per-sequence answer cap) exactly like
-  /// BatchEvaluator::Options::run.
-  exec::RunContext* run = nullptr;
-  kernels::BackendChoice backend = kernels::BackendChoice::kAuto;
-  optimize::Level optimize = optimize::Level::kAuto;
-  /// Per-shard composition-cache budget.
-  size_t cache_max_bytes = transducer::CompositionCache::kDefaultMaxBytes;
+  /// Every shard's BatchEvaluator options. `batch.run` bounds the whole
+  /// sharded batch (shared deadline / budget / cancel, per-sequence
+  /// answer cap).
+  db::BatchEvaluator::Options batch;
 };
 
 struct ShardedBatchResult {
@@ -80,7 +70,7 @@ struct ShardedBatchResult {
 /// count, thread count, and backend.
 StatusOr<ShardedBatchResult> EvaluateSharded(
     const db::SequenceCollection& collection, const transducer::Transducer& t,
-    int k, const ShardedBatchOptions& options, bool with_confidence = true);
+    int k, const ShardedBatchOptions& options);
 
 }  // namespace tms::dist
 

@@ -1,14 +1,10 @@
 // The one options struct every enumeration engine takes.
 //
-// EmaxEnumerator, UnrankedEnumerator, ImaxEnumerator and LawlerEnumerator
-// each grew an ad-hoc options surface (a private struct, loose trailing
-// parameters, or nothing); EngineOptions collapses them into a single
-// shape shared by query::MakeEnumerator, query::Evaluator,
-// db::BatchEvaluator and tms_cli. The per-engine spellings survive as
-// thin aliases (e.g. EmaxEnumerator::Options, Evaluator::Execution) so
-// out-of-tree callers keep compiling; field order is part of that
-// compatibility (aggregate initializers written against the old
-// {pool, cache, run} structs still mean the same thing).
+// EmaxEnumerator, UnrankedEnumerator and ImaxEnumerator take their
+// execution resources as one EngineOptions, which query::MakeEnumerator,
+// query::AnswerPipeline, query::Evaluator, db::BatchEvaluator and the
+// tools fill in. Set fields by name (`{.pool = p, .run = r}`); the ones
+// left out keep their defaults.
 //
 // Every pointer is non-owning and optional: the pointee must outlive the
 // engine, and null selects the default behavior documented per field.
@@ -61,9 +57,7 @@ struct EngineOptions {
   /// products (optimize/transducer_opt.h). The engine path runs only the
   /// stream-byte-exact prune, so — like `backend` — this is a performance
   /// knob: answer streams are identical at every level. kAuto lets the
-  /// engine decide per query (see optimize::ShouldOptimize). Appended
-  /// after `backend` so aggregate initializers written against the older
-  /// struct keep their meaning.
+  /// engine decide per query (see optimize::ShouldOptimize).
   optimize::Level optimize = optimize::Level::kAuto;
 };
 

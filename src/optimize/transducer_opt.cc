@@ -11,7 +11,6 @@
 #include "common/check.h"
 #include "common/stopwatch.h"
 #include "obs/obs.h"
-#include "optimize/weight_push.h"
 
 namespace tms::optimize {
 
@@ -76,19 +75,41 @@ Transducer PruneImpl(const Transducer& t, OptimizeStats* stats) {
     }
   }
 
-  // Co-accessibility is the φ > −inf cut of the boolean-weighted max-plus
-  // push: φ(q) = 0 iff q reaches an accepting state (weight_push.h).
-  StatusOr<std::vector<double>> phi_or = DistanceToFinal(BooleanWeighted(t));
-  TMS_CHECK(phi_or.ok());  // boolean weights: no positive cycles exist
-  const std::vector<double>& phi = *phi_or;
+  // Co-accessibility: a backward search from the accepting states over
+  // the reversed edges.
+  std::vector<std::vector<StateId>> sources(static_cast<size_t>(n));
+  for (StateId q = 0; q < n; ++q) {
+    for (int s = 0; s < sigma; ++s) {
+      for (const Edge& e : t.Next(q, static_cast<Symbol>(s))) {
+        sources[static_cast<size_t>(e.target)].push_back(q);
+      }
+    }
+  }
+  std::vector<bool> coaccessible(static_cast<size_t>(n), false);
+  for (StateId q = 0; q < n; ++q) {
+    if (t.IsAccepting(q)) {
+      coaccessible[static_cast<size_t>(q)] = true;
+      frontier.push_back(q);
+    }
+  }
+  while (!frontier.empty()) {
+    StateId q = frontier.front();
+    frontier.pop_front();
+    for (StateId p : sources[static_cast<size_t>(q)]) {
+      if (!coaccessible[static_cast<size_t>(p)]) {
+        coaccessible[static_cast<size_t>(p)] = true;
+        frontier.push_back(p);
+      }
+    }
+  }
 
   // Keep reachable ∧ co-accessible, renumbered monotonically so the
   // ascending-cell backtrack scan order is preserved.
   std::vector<StateId> new_id(static_cast<size_t>(n), -1);
   int kept = 0;
   for (StateId q = 0; q < n; ++q) {
-    const bool live =
-        reachable[static_cast<size_t>(q)] && phi[static_cast<size_t>(q)] != kNegInf;
+    const bool live = reachable[static_cast<size_t>(q)] &&
+                      coaccessible[static_cast<size_t>(q)];
     if (live) {
       new_id[static_cast<size_t>(q)] = kept++;
     } else if (!reachable[static_cast<size_t>(q)]) {

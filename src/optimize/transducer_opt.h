@@ -2,8 +2,7 @@
 // deciding when engines run them. Two tiers with different contracts:
 //
 //  * PruneTransducer — drops states that are unreachable from the initial
-//    state or cannot reach an accepting state (the φ = −inf cut of the
-//    max-plus weight push, optimize/weight_push.h), plus every edge into a
+//    state or cannot reach an accepting state, plus every edge into a
 //    dropped state, and renumbers the survivors MONOTONICALLY. This is the
 //    pass behind exec::EngineOptions::optimize, because it is provably
 //    byte-exact for the ranked streams: removed accepting cells never hold

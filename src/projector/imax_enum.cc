@@ -80,15 +80,6 @@ StatusOr<ImaxEnumerator> ImaxEnumerator::Create(
   return ImaxEnumerator(std::make_shared<State>(mu, p), options);
 }
 
-StatusOr<ImaxEnumerator> ImaxEnumerator::Create(
-    const markov::MarkovSequence* mu, const SProjector* p,
-    exec::ThreadPool* pool, exec::RunContext* run) {
-  exec::EngineOptions options;
-  options.pool = pool;
-  options.run = run;
-  return Create(mu, p, options);
-}
-
 StatusOr<ImaxEnumerator> ImaxEnumerator::WithOwnedInputs(
     markov::MarkovSequence mu, SProjector p,
     const exec::EngineOptions& options) {

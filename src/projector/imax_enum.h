@@ -53,15 +53,9 @@ class ImaxEnumerator : public ranking::AnswerStream {
   /// transition matrices, so `backend` has no effect here; `optimize` is
   /// likewise ignored — this engine composes no product automaton, so
   /// there is nothing for the pass to prune (optimize/transducer_opt.h).
-  static StatusOr<ImaxEnumerator> Create(const markov::MarkovSequence* mu,
-                                         const SProjector* p,
-                                         const exec::EngineOptions& options);
-
-  /// Deprecated borrow spelling predating EngineOptions.
-  static StatusOr<ImaxEnumerator> Create(const markov::MarkovSequence* mu,
-                                         const SProjector* p,
-                                         exec::ThreadPool* pool = nullptr,
-                                         exec::RunContext* run = nullptr);
+  static StatusOr<ImaxEnumerator> Create(
+      const markov::MarkovSequence* mu, const SProjector* p,
+      const exec::EngineOptions& options = {});
 
   /// Takes ownership of copies of the inputs — safe even when the caller's
   /// originals are temporaries or die before the enumerator does.

@@ -28,7 +28,7 @@ struct EmaxEnumerator::State {
   transducer::CompositionCache* cache = nullptr;
   bool optimized = false;
 
-  void Init(const Options& options) {
+  void Init(const exec::EngineOptions& options) {
     ctx.emplace(*mu, options.backend);
     optimized = optimize::ShouldOptimize(options.optimize, *t);
     if (options.cache != nullptr) {
@@ -41,7 +41,7 @@ struct EmaxEnumerator::State {
 };
 
 EmaxEnumerator::EmaxEnumerator(std::shared_ptr<State> state,
-                               const Options& options)
+                               const exec::EngineOptions& options)
     : state_(std::move(state)) {
   std::shared_ptr<State> s = state_;
   lawler_ = std::make_unique<ranking::LawlerEnumerator>(
@@ -64,7 +64,7 @@ EmaxEnumerator::EmaxEnumerator(std::shared_ptr<State> state,
 
 EmaxEnumerator::EmaxEnumerator(const markov::MarkovSequence& mu,
                                const transducer::Transducer& t,
-                               Options options)
+                               const exec::EngineOptions& options)
     : EmaxEnumerator(
           [&mu, &t, &options] {
             auto state = std::make_shared<State>();
@@ -75,9 +75,9 @@ EmaxEnumerator::EmaxEnumerator(const markov::MarkovSequence& mu,
           }(),
           options) {}
 
-EmaxEnumerator EmaxEnumerator::WithOwnedInputs(markov::MarkovSequence mu,
-                                               transducer::Transducer t,
-                                               Options options) {
+EmaxEnumerator EmaxEnumerator::WithOwnedInputs(
+    markov::MarkovSequence mu, transducer::Transducer t,
+    const exec::EngineOptions& options) {
   auto state = std::make_shared<State>();
   state->owned_mu.emplace(std::move(mu));
   state->owned_t.emplace(std::move(t));

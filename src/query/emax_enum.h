@@ -35,39 +35,28 @@ namespace tms::query {
 /// enumerator can be moved freely and — via WithOwnedInputs — can outlive
 /// the arguments it was built from. The solver only reads immutable state
 /// and the thread-safe cache, so child subspaces may be solved in parallel
-/// (Options::pool) with output byte-identical to the sequential engine.
+/// (EngineOptions::pool) with output byte-identical to the sequential engine.
 class EmaxEnumerator : public ranking::AnswerStream {
  public:
-  /// Deprecated alias — EmaxEnumerator::Options *was* a bespoke struct
-  /// with fields {pool, cache, run}; exec::EngineOptions keeps that field
-  /// order (plus `backend`), so existing aggregate initializers compile
-  /// unchanged. New code should spell it exec::EngineOptions.
-  using Options = exec::EngineOptions;
-
   /// Borrows `mu` and `t`: both must outlive the enumerator. (Use
   /// WithOwnedInputs when that is hard to guarantee.)
   EmaxEnumerator(const markov::MarkovSequence& mu,
-                 const transducer::Transducer& t, Options options);
-  EmaxEnumerator(const markov::MarkovSequence& mu,
-                 const transducer::Transducer& t)
-      : EmaxEnumerator(mu, t, Options()) {}
+                 const transducer::Transducer& t,
+                 const exec::EngineOptions& options = {});
 
   /// Takes ownership of copies of the inputs — safe even when the caller's
   /// originals are temporaries or die before the enumerator does.
-  static EmaxEnumerator WithOwnedInputs(markov::MarkovSequence mu,
-                                        transducer::Transducer t,
-                                        Options options);
-  static EmaxEnumerator WithOwnedInputs(markov::MarkovSequence mu,
-                                        transducer::Transducer t) {
-    return WithOwnedInputs(std::move(mu), std::move(t), Options());
-  }
+  static EmaxEnumerator WithOwnedInputs(
+      markov::MarkovSequence mu, transducer::Transducer t,
+      const exec::EngineOptions& options = {});
 
   /// The next answer (score = its E_max), or nullopt when exhausted.
   std::optional<ranking::ScoredAnswer> Next() override;
 
  private:
   struct State;
-  EmaxEnumerator(std::shared_ptr<State> state, const Options& options);
+  EmaxEnumerator(std::shared_ptr<State> state,
+                 const exec::EngineOptions& options);
 
   std::shared_ptr<State> state_;
   std::unique_ptr<ranking::LawlerEnumerator> lawler_;

@@ -9,8 +9,9 @@
 // through one door and input validation returns Status instead of
 // crashing.
 //
-// db::BatchEvaluator, query::Evaluator and tools/tms_cli all construct
-// their enumerators through this factory.
+// Outside the engines' own tests and benches, only query::AnswerPipeline
+// (query/answers.h) calls it: the server, tms_cli, query::Evaluator and
+// db::BatchEvaluator all take their answer streams from that pipeline.
 
 #ifndef TMS_QUERY_ENGINE_FACTORY_H_
 #define TMS_QUERY_ENGINE_FACTORY_H_

@@ -1,9 +1,10 @@
 #include "query/evaluator.h"
 
+#include <limits>
+
 #include "obs/obs.h"
 #include "query/confidence.h"
 #include "query/emax.h"
-#include "query/engine_factory.h"
 
 namespace tms::query {
 
@@ -20,60 +21,20 @@ StatusOr<Evaluator> Evaluator::Create(const markov::MarkovSequence* mu,
   return Evaluator(mu, t);
 }
 
-StatusOr<std::vector<AnswerInfo>> Evaluator::TopK(int k,
-                                                  bool with_confidence) const {
+StatusOr<std::vector<AnswerInfo>> Evaluator::TopK(int k) const {
   TMS_OBS_SPAN("query.evaluator.topk");
-  std::vector<AnswerInfo> out;
-  auto it = MakeEnumerator(EnumeratorKind::kEmax, *mu_, *t_, execution_);
-  if (!it.ok()) return it.status();
-  // End-to-end per-answer delay, including the confidence computation —
-  // what a top-k client actually waits between answers.
-  obs::DelayRecorder delay("query.topk");
-  for (int i = 0; i < k; ++i) {
-    auto answer = (*it)->Next();
-    if (!answer.has_value()) break;
-    AnswerInfo info;
-    info.output = std::move(answer->output);
-    info.emax = answer->score;
-    if (with_confidence) {
-#if TMS_OBS_ACTIVE
-      const int64_t conf_start_ns = obs::MonotonicNanos();
-#endif
-      auto conf =
-          query::Confidence(*mu_, *t_, info.output, execution_.backend);
-      if (!conf.ok()) return conf.status();
-      info.confidence = *conf;
-      TMS_OBS_COUNT("query.topk.confidence_calls", 1);
-      TMS_OBS_HISTOGRAM("query.topk.confidence_ns",
-                        obs::MonotonicNanos() - conf_start_ns);
-    }
-    TMS_OBS_COUNT("query.topk.answers", 1);
-    delay.RecordAnswer();
-    out.push_back(std::move(info));
-  }
-  return out;
+  auto pipeline =
+      AnswerPipeline::Create(*mu_, *t_, AnswerMode::kRanked, execution_);
+  if (!pipeline.ok()) return pipeline.status();
+  return pipeline->Take(k);
 }
 
-StatusOr<std::vector<AnswerInfo>> Evaluator::EvaluateTwoStep(
-    bool with_confidence) const {
+StatusOr<std::vector<AnswerInfo>> Evaluator::EvaluateTwoStep() const {
   TMS_OBS_SPAN("query.evaluator.two_step");
-  std::vector<AnswerInfo> out;
-  auto it = MakeEnumerator(EnumeratorKind::kUnranked, *mu_, *t_, execution_);
-  if (!it.ok()) return it.status();
-  while (auto answer = (*it)->Next()) {
-    AnswerInfo info;
-    info.output = std::move(answer->output);
-    if (with_confidence) {
-      auto conf =
-          query::Confidence(*mu_, *t_, info.output, execution_.backend);
-      if (!conf.ok()) return conf.status();
-      info.confidence = *conf;
-      TMS_OBS_COUNT("query.twostep.confidence_calls", 1);
-    }
-    TMS_OBS_COUNT("query.twostep.answers", 1);
-    out.push_back(std::move(info));
-  }
-  return out;
+  auto pipeline =
+      AnswerPipeline::Create(*mu_, *t_, AnswerMode::kTwoStep, execution_);
+  if (!pipeline.ok()) return pipeline.status();
+  return pipeline->Take(std::numeric_limits<int64_t>::max());
 }
 
 StatusOr<double> Evaluator::Confidence(const Str& o) const {

@@ -1,12 +1,13 @@
 // Query-evaluation facade.
 //
 // Binds a Markov sequence and a transducer and exposes the paper's
-// evaluation modes behind one interface:
+// evaluation modes behind one interface, both collected from the answer
+// pipeline (query/answers.h):
 //   * ranked evaluation by E_max (Theorem 4.3) with confidences attached,
-//   * unranked enumeration (Theorem 4.1),
 //   * the naive two-step strategy the paper argues against (§1, §3.2):
-//     enumerate every answer, then compute each confidence — the baseline
-//     bench_twostep_vs_ranked measures against ranked top-k.
+//     enumerate every answer (Theorem 4.1), then compute each
+//     confidence — the baseline bench_twostep_vs_ranked measures against
+//     ranked top-k.
 
 #ifndef TMS_QUERY_EVALUATOR_H_
 #define TMS_QUERY_EVALUATOR_H_
@@ -16,24 +17,19 @@
 
 #include "common/status.h"
 #include "exec/engine_options.h"
-#include "exec/run_context.h"
-#include "exec/thread_pool.h"
 #include "markov/markov_sequence.h"
-#include "transducer/composition_cache.h"
+#include "query/answers.h"
 #include "transducer/transducer.h"
 
 namespace tms::query {
 
-/// One evaluated answer.
-struct AnswerInfo {
-  Str output;
-  double emax = 0.0;        ///< best-evidence score (0 when not computed)
-  double confidence = 0.0;  ///< Pr(S →[A^ω]→ o) (0 when not computed)
-};
-
 /// Facade over the §4 algorithms for one (μ, A^ω) pair.
 class Evaluator {
  public:
+  /// Fails if the node set of `mu` differs from the input alphabet of `t`.
+  static StatusOr<Evaluator> Create(const markov::MarkovSequence* mu,
+                                    const transducer::Transducer* t);
+
   /// Optional execution resources, all non-owning (they must outlive the
   /// evaluator). `pool` parallelizes the subspace solves inside TopK;
   /// `cache` shares composed transducers across evaluators of the same
@@ -45,29 +41,18 @@ class Evaluator {
   /// `run->status()` / `run->truncated()` carry the structured reason
   /// (docs/ROBUSTNESS.md). `backend` selects the kernel path of every DP
   /// underneath (kernels/backend.h).
-  ///
-  /// Deprecated alias: this used to be a per-evaluator struct with fields
-  /// {pool, cache, run}; exec::EngineOptions preserves that field order,
-  /// so existing aggregate initializations keep compiling.
-  using Execution = exec::EngineOptions;
+  void set_execution(const exec::EngineOptions& execution) {
+    execution_ = execution;
+  }
 
-  /// Fails if the node set of `mu` differs from the input alphabet of `t`.
-  static StatusOr<Evaluator> Create(const markov::MarkovSequence* mu,
-                                    const transducer::Transducer* t);
+  /// Top-k answers by decreasing E_max, each with its confidence (the
+  /// best applicable algorithm per Confidence()).
+  StatusOr<std::vector<AnswerInfo>> TopK(int k) const;
 
-  void set_execution(const Execution& execution) { execution_ = execution; }
-
-  /// Top-k answers by decreasing E_max; confidences attached when
-  /// `with_confidence` (using the best applicable algorithm per
-  /// Confidence()).
-  StatusOr<std::vector<AnswerInfo>> TopK(int k,
-                                         bool with_confidence = true) const;
-
-  /// All answers, unranked (lexicographic), optionally with confidence.
+  /// All answers, unranked (lexicographic), each with its confidence.
   /// This is the naive two-step evaluation; it may produce exponentially
   /// many answers.
-  StatusOr<std::vector<AnswerInfo>> EvaluateTwoStep(
-      bool with_confidence = true) const;
+  StatusOr<std::vector<AnswerInfo>> EvaluateTwoStep() const;
 
   /// Confidence of one answer (dispatching facade).
   StatusOr<double> Confidence(const Str& o) const;
@@ -84,7 +69,7 @@ class Evaluator {
 
   const markov::MarkovSequence* mu_;
   const transducer::Transducer* t_;
-  Execution execution_;
+  exec::EngineOptions execution_;
 };
 
 }  // namespace tms::query

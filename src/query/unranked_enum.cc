@@ -24,15 +24,6 @@ UnrankedEnumerator::UnrankedEnumerator(const markov::MarkovSequence& mu,
                     static_cast<size_t>(t_->MaxEmissionLength());
 }
 
-UnrankedEnumerator::UnrankedEnumerator(const markov::MarkovSequence& mu,
-                                       const transducer::Transducer& t,
-                                       exec::RunContext* run)
-    : UnrankedEnumerator(mu, t, [run] {
-        exec::EngineOptions options;
-        options.run = run;
-        return options;
-      }()) {}
-
 UnrankedEnumerator UnrankedEnumerator::WithOwnedInputs(
     markov::MarkovSequence mu, transducer::Transducer t,
     const exec::EngineOptions& options) {

@@ -31,7 +31,7 @@ namespace tms::query {
 /// Streams A^ω(μ) with polynomial delay and polynomial space. Scores are
 /// 0.0 (this engine makes no ranking claim; see ranking/answer_stream.h).
 /// Construction follows the uniform borrow-vs-own contract documented
-/// there: the plain constructors borrow μ and the transducer,
+/// there: the plain constructor borrows μ and the transducer,
 /// WithOwnedInputs moves copies in.
 ///
 /// Of EngineOptions this engine uses `run` and `backend`: with a
@@ -51,12 +51,7 @@ class UnrankedEnumerator : public ranking::AnswerStream {
  public:
   UnrankedEnumerator(const markov::MarkovSequence& mu,
                      const transducer::Transducer& t,
-                     const exec::EngineOptions& options);
-
-  /// Deprecated borrow spelling predating EngineOptions.
-  UnrankedEnumerator(const markov::MarkovSequence& mu,
-                     const transducer::Transducer& t,
-                     exec::RunContext* run = nullptr);
+                     const exec::EngineOptions& options = {});
 
   /// Takes ownership of copies of the inputs — safe even when the caller's
   /// originals are temporaries or die before the enumerator does.

@@ -4,9 +4,10 @@
 // ImaxEnumerator, the LawlerEnumerator they wrap) and unranked
 // (UnrankedEnumerator) — is a pull stream: repeated Next() calls yield
 // answers until nullopt, which is sticky. AnswerStream is that shape as
-// an interface, so db::BatchEvaluator, query::Evaluator and tms_cli can
-// hold any engine behind one pointer obtained from query::MakeEnumerator
-// instead of four hand-rolled call sites.
+// an interface, so query::AnswerPipeline (query/answers.h) holds any
+// engine behind one pointer obtained from query::MakeEnumerator; the
+// server, tms_cli, query::Evaluator and db::BatchEvaluator all take their
+// answers from that pipeline.
 //
 // Stream contract:
 //   * Ranked engines emit in nonincreasing score; ties are broken

@@ -16,13 +16,9 @@
 #include "db/collection.h"
 #include "dist/sharded_batch.h"
 #include "exec/fault.h"
-#include "io/text_format.h"
 #include "obs/export.h"
 #include "obs/obs.h"
-#include "projector/sprojector.h"
-#include "projector/sprojector_confidence.h"
-#include "query/confidence.h"
-#include "query/engine_factory.h"
+#include "query/answers.h"
 #include "serve/wire.h"
 #include "strings/str.h"
 #include "transducer/transducer.h"
@@ -122,31 +118,6 @@ std::string ParseParams(const std::string& query,
   }
   if (out->k == 0) out->k = out->enum_mode ? 100 : 10;
   return "";
-}
-
-// The parsed request body: exactly one of the two query classes.
-struct ParsedQuery {
-  std::optional<transducer::Transducer> transducer;
-  std::optional<projector::SProjector> sprojector;
-};
-
-// Returns a 400 message, or "" on success.
-std::string ParseQueryBody(const std::string& body, ParsedQuery* out) {
-  auto format = io::DetectFormat(body);
-  if (!format.ok()) return format.status().message();
-  if (*format == "transducer") {
-    auto t = io::ParseTransducer(body);
-    if (!t.ok()) return t.status().ToString();
-    out->transducer = std::move(t).value();
-    return "";
-  }
-  if (*format == "s-projector") {
-    auto p = io::ParseSProjector(body);
-    if (!p.ok()) return p.status().ToString();
-    out->sprojector = std::move(p).value();
-    return "";
-  }
-  return "query body must be a transducer or an s-projector, got: " + *format;
 }
 
 }  // namespace
@@ -387,7 +358,9 @@ void HttpServer::HandleQuery(int fd, RequestReader* reader,
     SendJsonError(fd, 400, error);
     return;
   }
-  ParsedQuery query;
+  // The query: a precompiled transducer from the registry, or the body.
+  const transducer::Transducer* stored = nullptr;
+  std::optional<query::Query> parsed;
   if (!params.precompiled.empty()) {
     // A precompiled query IS the request: the body stays empty and the
     // stored transducer — already optimized at registry load — runs with
@@ -398,23 +371,22 @@ void HttpServer::HandleQuery(int fd, RequestReader* reader,
                         std::to_string(req.body.size()) + " bytes");
       return;
     }
-    const transducer::Transducer* stored =
-        registry_.FindPrecompiled(model_name, params.precompiled);
+    stored = registry_.FindPrecompiled(model_name, params.precompiled);
     if (stored == nullptr) {
       SendJsonError(fd, 404, "unknown precompiled query '" +
                                  params.precompiled + "' for model '" +
                                  model_name + "'");
       return;
     }
-    query.transducer = *stored;
     params.optimize = optimize::Level::kOff;
     TMS_OBS_COUNT("serve.precompiled_queries", 1);
   } else {
-    error = ParseQueryBody(req.body, &query);
-    if (!error.empty()) {
-      SendJsonError(fd, 400, error);
+    auto query = query::ParseQuery(req.body);
+    if (!query.ok()) {
+      SendJsonError(fd, 400, query.status().ToString());
       return;
     }
+    parsed = std::move(query).value();
   }
 
   // Request-scoped observability: every metric and span of this query —
@@ -432,32 +404,23 @@ void HttpServer::HandleQuery(int fd, RequestReader* reader,
   if (params.max_answers >= 0) run.set_max_answers(params.max_answers);
   if (params.budget >= 0) run.set_work_budget(params.budget);
 
-  exec::EngineOptions engine;
-  engine.pool = pool_.get();
-  engine.run = &run;
-  engine.backend = params.backend;
-  engine.optimize = params.optimize;
-
-  // Keep borrowed inputs alive for the whole stream.
-  std::optional<transducer::Transducer> enum_transducer;
-  StatusOr<std::unique_ptr<ranking::AnswerStream>> stream =
-      Status::Internal("unreachable");
-  if (params.enum_mode) {
-    enum_transducer = query.transducer.has_value()
-                          ? std::move(*query.transducer)
-                          : query.sprojector->ToTransducer();
-    stream = query::MakeEnumerator(query::EnumeratorKind::kUnranked, *mu,
-                                   *enum_transducer, engine);
-  } else if (query.transducer.has_value()) {
-    stream = query::MakeEnumerator(query::EnumeratorKind::kEmax, *mu,
-                                   *query.transducer, engine);
-  } else {
-    stream = query::MakeEnumerator(*mu, *query.sprojector, engine);
-  }
-  if (!stream.ok()) {
+  const exec::EngineOptions engine{.pool = pool_.get(),
+                                   .run = &run,
+                                   .backend = params.backend,
+                                   .optimize = params.optimize};
+  const query::AnswerMode mode = params.enum_mode ? query::AnswerMode::kEnum
+                                                  : query::AnswerMode::kRanked;
+  // The same pipeline as tms_cli topk / enum, and the same serializer as
+  // its --stats=json results: answer lines are byte-identical to one-shot
+  // output by construction.
+  auto pipeline =
+      stored != nullptr
+          ? query::AnswerPipeline::Create(*mu, *stored, mode, engine)
+          : query::AnswerPipeline::Create(*mu, *parsed, mode, engine);
+  if (!pipeline.ok()) {
     // Alphabet mismatch, invalid transducer, ...: the query never ran, so
     // this is still a clean HTTP error, not a mid-stream footer.
-    SendJsonError(fd, 400, stream.status().ToString());
+    SendJsonError(fd, 400, pipeline.status().ToString());
     return;
   }
 
@@ -473,38 +436,23 @@ void HttpServer::HandleQuery(int fd, RequestReader* reader,
 
   obs::DelayRecorder delay("serve.query");
   for (int i = 0; i < params.k && client_alive; ++i) {
-    auto answer = (*stream)->Next();
-    if (!answer.has_value()) break;
+    auto answer = pipeline->Next();
+    if (!answer.ok()) {
+      stream_error = answer.status().ToString();
+      break;
+    }
+    if (!answer->has_value()) break;
+    const query::AnswerInfo& info = **answer;
+    const std::string text = FormatStr(pipeline->output_alphabet(),
+                                       info.output);
     std::string line;
     if (params.enum_mode) {
       line += '"';
-      obs::AppendJsonEscaped(
-          FormatStr(enum_transducer->output_alphabet(), answer->output),
-          &line);
+      obs::AppendJsonEscaped(text, &line);
       line += '"';
-    } else if (query.transducer.has_value()) {
-      // Same score+confidence computation as query::Evaluator::TopK, same
-      // serializer as the CLI's --stats=json results — answer lines are
-      // byte-identical to one-shot output by construction.
-      auto conf = query::Confidence(*mu, *query.transducer, answer->output,
-                                    params.backend);
-      if (!conf.ok()) {
-        stream_error = conf.status().ToString();
-        break;
-      }
-      AppendAnswerJson(
-          FormatStr(query.transducer->output_alphabet(), answer->output),
-          "emax", answer->score, *conf, &line);
     } else {
-      auto conf = projector::SProjectorConfidence(*mu, *query.sprojector,
-                                                  answer->output);
-      if (!conf.ok()) {
-        stream_error = conf.status().ToString();
-        break;
-      }
-      AppendAnswerJson(FormatStr(query.sprojector->alphabet(),
-                                 answer->output),
-                       "imax", answer->score, *conf, &line);
+      AppendAnswerJson(text, pipeline->score_key(), info.emax,
+                       info.confidence, &line);
     }
     line += '\n';
     client_alive = writer.WriteChunk(line);
@@ -574,15 +522,15 @@ void HttpServer::HandleBatch(int fd, RequestReader* reader,
     SendJsonError(fd, 400, "batch does not take precompiled queries");
     return;
   }
-  ParsedQuery query;
-  error = ParseQueryBody(req.body, &query);
-  if (!error.empty()) {
-    SendJsonError(fd, 400, error);
+  auto query = query::ParseQuery(req.body);
+  if (!query.ok()) {
+    SendJsonError(fd, 400, query.status().ToString());
     return;
   }
-  transducer::Transducer t = query.transducer.has_value()
-                                 ? std::move(*query.transducer)
-                                 : query.sprojector->ToTransducer();
+  // The batch layer ranks by E_max, so an s-projector runs as its
+  // equivalent transducer.
+  const transducer::Transducer t =
+      query::AsTransducer(std::move(query).value());
 
   obs::QueryScope scope("serve.batch");
   exec::RunContext run;
@@ -618,11 +566,10 @@ void HttpServer::HandleBatch(int fd, RequestReader* reader,
       }
     }
 
-    db::BatchEvaluator::Options batch_options;
-    batch_options.pool = pool_.get();
-    batch_options.run = &run;
-    batch_options.backend = params.backend;
-    batch_options.optimize = params.optimize;
+    db::BatchEvaluator::Options batch_options{.pool = pool_.get(),
+                                              .run = &run,
+                                              .backend = params.backend,
+                                              .optimize = params.optimize};
     auto batch = db::BatchEvaluator::Create(&collection, &t, batch_options);
     if (!batch.ok()) {
       SendJsonError(fd, 400, batch.status().ToString());
@@ -640,8 +587,8 @@ void HttpServer::HandleBatch(int fd, RequestReader* reader,
         reason = r.reason;
       }
     }
-    // Rows are byte-identical to `tms_cli batch --shards` by shared
-    // serializer.
+    // The shared row serializer; the dist coordinator forwards these
+    // bytes verbatim.
     for (const dist::RankedRow& row : dist::RankedReferenceRows(results)) {
       std::string line;
       AppendBatchRowJson(row.key,

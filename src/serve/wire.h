@@ -39,11 +39,10 @@ void AppendAnswerJson(const std::string& answer, const char* score_key,
 /// Appends {"key":"...","answer":"...","emax":s,"confidence":c} — one
 /// globally ranked row of a sharded batch stream (docs/DISTRIBUTED.md).
 /// Everything after the key reuses AppendAnswerJson's exact bytes, so a
-/// batch row is a key-tagged answer line; `tms_cli batch --shards`, the
-/// worker `/batch` endpoint, and the dist coordinator all emit rows
-/// through here (the scores stay strtod-round-trippable — %.17g — which
-/// is what lets the coordinator re-rank worker lines without reprinting
-/// them).
+/// batch row is a key-tagged answer line; the worker `/batch` endpoint
+/// emits its rows through here (the scores stay strtod-round-trippable —
+/// %.17g — which is what lets the dist coordinator re-rank worker lines
+/// without reprinting them).
 void AppendBatchRowJson(const std::string& key, const std::string& answer,
                         double emax, double confidence, std::string* out);
 

@@ -42,11 +42,11 @@
 #include "transducer/transducer.h" // IWYU pragma: export
 
 // Evaluation.
-#include "projector/evaluator.h"   // IWYU pragma: export
 #include "projector/imax_enum.h"   // IWYU pragma: export
 #include "projector/indexed_confidence.h"  // IWYU pragma: export
 #include "projector/indexed_enum.h"        // IWYU pragma: export
 #include "projector/sprojector_confidence.h"  // IWYU pragma: export
+#include "query/answers.h"         // IWYU pragma: export
 #include "query/approx.h"          // IWYU pragma: export
 #include "query/confidence.h"      // IWYU pragma: export
 #include "query/confidence_exact.h"  // IWYU pragma: export

@@ -58,7 +58,7 @@ TEST_F(BatchEdgeTest, EmptyCollectionYieldsEmptyResults) {
   auto batch = db::BatchEvaluator::Create(&collection, &t);
   ASSERT_TRUE(batch.ok());
   EXPECT_TRUE(batch->EvaluateAll(3).empty());
-  auto rows = batch->TopKPerSequence(3);
+  auto rows = collection.TopKPerSequence(t, 3);
   ASSERT_TRUE(rows.ok());
   EXPECT_TRUE(rows->empty());
 }
@@ -258,7 +258,7 @@ TEST_F(BatchEdgeTest, EvaluateAllMatchesTopKPerSequenceWhenUnbounded) {
   transducer::Transducer t = CopyQuery(collection.nodes(), rng);
   auto batch = db::BatchEvaluator::Create(&collection, &t);
   ASSERT_TRUE(batch.ok());
-  auto rows = batch->TopKPerSequence(3);
+  auto rows = collection.TopKPerSequence(t, 3);
   ASSERT_TRUE(rows.ok());
   std::vector<db::BatchEvaluator::SequenceResult> results =
       batch->EvaluateAll(3);

@@ -4,7 +4,7 @@
 
 #include "common/rng.h"
 #include "markov/world_iter.h"
-#include "projector/evaluator.h"
+#include "projector/indexed_enum.h"
 #include "test_util.h"
 
 namespace tms::workload {
@@ -71,10 +71,7 @@ TEST(BioTest, MotifExtractionEndToEnd) {
   auto extractor = MotifExtractor(config);
   ASSERT_TRUE(extractor.ok()) << extractor.status();
 
-  auto eval =
-      projector::SProjectorEvaluator::Create(&scenario->mu, &*extractor);
-  ASSERT_TRUE(eval.ok());
-  auto indexed = eval->TopKIndexed(10);
+  auto indexed = projector::TopKIndexed(scenario->mu, *extractor, 10);
   auto truth =
       testing::BruteForceIndexedAnswers(scenario->mu, *extractor);
   for (const auto& r : indexed) {

@@ -51,8 +51,7 @@ std::vector<ranking::ScoredAnswer> DrainEmax(const Instance& inst,
                                              exec::ThreadPool* pool,
                                              exec::RunContext* run,
                                              int guard = 500) {
-  query::EmaxEnumerator it(inst.mu, inst.t,
-                           query::EmaxEnumerator::Options{pool, nullptr, run});
+  query::EmaxEnumerator it(inst.mu, inst.t, {.pool = pool, .run = run});
   std::vector<ranking::ScoredAnswer> out;
   for (int i = 0; i < guard; ++i) {
     auto answer = it.Next();
@@ -230,7 +229,7 @@ TEST_F(CancellationFuzzTest, UnrankedEngineCancelsCleanly) {
     }
     std::vector<Str> bounded;
     {
-      query::UnrankedEnumerator it(inst.mu, inst.t, &run);
+      query::UnrankedEnumerator it(inst.mu, inst.t, {.run = &run});
       while (auto a = it.Next()) {
         bounded.push_back(std::move(a->output));
         if (bounded.size() > 2000) break;
@@ -276,9 +275,8 @@ TEST_F(CancellationFuzzTest, ImaxEngineCancelsCleanly) {
       exec::RunContext run;
       exec::FaultInjector::Global().ScheduleCancel("lawler.pre_solve", nth,
                                                    run.cancel_token());
-      auto it = projector::ImaxEnumerator::Create(&mu, &*p,
-                                                  pool ? &*pool : nullptr,
-                                                  &run);
+      auto it = projector::ImaxEnumerator::Create(
+          &mu, &*p, {.pool = pool ? &*pool : nullptr, .run = &run});
       ASSERT_TRUE(it.ok());
       std::vector<ranking::ScoredAnswer> bounded;
       while (auto a = it->Next()) bounded.push_back(std::move(*a));

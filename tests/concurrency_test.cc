@@ -24,6 +24,7 @@
 #include "query/emax_enum.h"
 #include "ranking/lawler.h"
 #include "ranking/prefix_constraint.h"
+#include "test_util.h"
 #include "transducer/compose.h"
 #include "transducer/composition_cache.h"
 #include "transducer/transducer.h"
@@ -57,7 +58,7 @@ Transducer RandomT(const Alphabet& nodes, Rng& rng) {
 std::vector<ScoredAnswer> DrainEmax(const markov::MarkovSequence& mu,
                                     const Transducer& t,
                                     exec::ThreadPool* pool, int limit = 200) {
-  EmaxEnumerator it(mu, t, EmaxEnumerator::Options{pool, nullptr});
+  EmaxEnumerator it(mu, t, {.pool = pool});
   std::vector<ScoredAnswer> out;
   while (static_cast<int>(out.size()) < limit) {
     auto answer = it.Next();
@@ -103,7 +104,7 @@ TEST(ParallelEmaxTest, SharedCacheAcrossEnumerationsStaysIdentical) {
   CompositionCache cache(&t);
   exec::ThreadPool pool(3);
   for (int round = 0; round < 3; ++round) {
-    EmaxEnumerator it(mu, t, EmaxEnumerator::Options{&pool, &cache});
+    EmaxEnumerator it(mu, t, {.pool = &pool, .cache = &cache});
     std::vector<ScoredAnswer> got;
     while (auto answer = it.Next()) got.push_back(std::move(*answer));
     ExpectIdenticalStreams(fresh, got, "round " + std::to_string(round));
@@ -124,7 +125,7 @@ TEST(ParallelImaxTest, ByteIdenticalAtEveryThreadCount) {
         workload::RandomDfa(mu.nodes(), 2, rng, 0.6));
     ASSERT_TRUE(p.ok());
     auto drain = [&mu, &p](exec::ThreadPool* pool) {
-      auto it = projector::ImaxEnumerator::Create(&mu, &*p, pool);
+      auto it = projector::ImaxEnumerator::Create(&mu, &*p, {.pool = pool});
       EXPECT_TRUE(it.ok());
       std::vector<ScoredAnswer> out;
       while (auto answer = it->Next()) out.push_back(std::move(*answer));
@@ -360,7 +361,7 @@ TEST(BatchEvaluatorTest, MatchesSequentialTopKPerSequence) {
     options.threads = threads;
     auto batch = db::BatchEvaluator::Create(&collection, &t, options);
     ASSERT_TRUE(batch.ok());
-    auto got = batch->TopKPerSequence(3);
+    auto got = testing::BatchRows(batch->EvaluateAll(3));
     ASSERT_TRUE(got.ok()) << got.status().message();
     ASSERT_EQ(got->size(), want->size()) << "threads=" << threads;
     for (size_t i = 0; i < got->size(); ++i) {

@@ -113,8 +113,8 @@ TEST(DistEquivalenceTest, ShardedStreamMatchesReferenceEverywhere) {
                      kernels::BackendChoiceName(backend));
         dist::ShardedBatchOptions options;
         options.shards = shards;
-        options.threads = threads;
-        options.backend = backend;
+        options.batch.threads = threads;
+        options.batch.backend = backend;
         auto sharded =
             dist::EvaluateSharded(fx.collection, fx.query, k, options);
         ASSERT_TRUE(sharded.ok()) << sharded.status().ToString();

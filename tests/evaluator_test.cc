@@ -70,18 +70,5 @@ TEST(EvaluatorTest, SingleAnswerQueries) {
       eval->Emax(*ParseStr(fig2.output_alphabet(), "λ")).has_value());
 }
 
-TEST(EvaluatorTest, TopKWithoutConfidenceSkipsComputation) {
-  markov::MarkovSequence mu = workload::Figure1Sequence();
-  transducer::Transducer fig2 = workload::Figure2Transducer();
-  auto eval = Evaluator::Create(&mu, &fig2);
-  ASSERT_TRUE(eval.ok());
-  auto topk = eval->TopK(2, /*with_confidence=*/false);
-  ASSERT_TRUE(topk.ok());
-  for (const AnswerInfo& info : *topk) {
-    EXPECT_EQ(info.confidence, 0.0);
-    EXPECT_GT(info.emax, 0.0);
-  }
-}
-
 }  // namespace
 }  // namespace tms::query

@@ -11,16 +11,12 @@
 //   * pruning/minimization never change the answer set, and minimization
 //     preserves per-answer scores within the documented 1e-12 tolerance
 //     (pruning is exact — bitwise);
-//   * weight pushing preserves every per-path total within 1e-12, leaves
-//     all live completion distances at zero, is idempotent, and rejects
-//     diverging (positive-cycle) inputs with a Status;
 //   * CompositionCache keys the optimization level — a lookup can never
 //     return an entry built under the other knob setting (the regression
 //     for the cache-key bug this PR fixes).
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <cmath>
 #include <map>
 #include <memory>
@@ -35,7 +31,6 @@
 #include "kernels/backend.h"
 #include "optimize/level.h"
 #include "optimize/transducer_opt.h"
-#include "optimize/weight_push.h"
 #include "query/engine_factory.h"
 #include "query/top_confidence.h"
 #include "query/unranked_enum.h"
@@ -308,126 +303,6 @@ TEST(OptimizeEquivalenceTest, MinimizePreservesAnswerSetAndScores) {
       EXPECT_NEAR(it->second, conf, 1e-12);
     }
   }
-}
-
-// ---------------------------------------------------------------------------
-// Weight pushing (optimize/weight_push.h).
-
-// A random layered (hence acyclic) weighted automaton with one final layer.
-optimize::WeightedAutomaton RandomLayeredAutomaton(Rng& rng) {
-  optimize::WeightedAutomaton wa;
-  const int layers = static_cast<int>(rng.UniformInt(2, 4));
-  const int width = static_cast<int>(rng.UniformInt(1, 3));
-  wa.num_states = 1 + layers * width;
-  wa.initial = 0;
-  wa.final_weight.assign(wa.num_states, optimize::kNegInf);
-  auto state = [&](int layer, int i) { return 1 + (layer - 1) * width + i; };
-  for (int i = 0; i < width; ++i) {
-    wa.arcs.push_back({0, state(1, i), rng.UniformDouble() * 4 - 2});
-    wa.final_weight[state(layers, i)] = rng.UniformDouble() * 4 - 2;
-  }
-  for (int layer = 1; layer < layers; ++layer) {
-    for (int i = 0; i < width; ++i) {
-      for (int j = 0; j < width; ++j) {
-        if (rng.Bernoulli(0.7)) {
-          wa.arcs.push_back(
-              {state(layer, i), state(layer + 1, j), rng.UniformDouble() * 4 - 2});
-        }
-      }
-    }
-  }
-  return wa;
-}
-
-// Max-plus total of every source→final path, by DFS.
-std::vector<double> AllPathTotals(const optimize::WeightedAutomaton& wa) {
-  std::vector<std::vector<const optimize::WeightedAutomaton::Arc*>> out(
-      wa.num_states);
-  for (const auto& arc : wa.arcs) out[arc.source].push_back(&arc);
-  std::vector<double> totals;
-  std::vector<std::pair<int, double>> stack{
-      {wa.initial, wa.initial_weight}};
-  while (!stack.empty()) {
-    auto [q, acc] = stack.back();
-    stack.pop_back();
-    if (wa.final_weight[q] != optimize::kNegInf) {
-      totals.push_back(acc + wa.final_weight[q]);
-    }
-    for (const auto* arc : out[q]) {
-      stack.push_back({arc->target, acc + arc->weight});
-    }
-  }
-  return totals;
-}
-
-TEST(OptimizeEquivalenceTest, WeightPushingPreservesPathTotals) {
-  const uint64_t seed = testing::TestSeed(27108);
-  SCOPED_TRACE(testing::SeedTrace(seed));
-  Rng rng(seed);
-  for (int trial = 0; trial < 20; ++trial) {
-    optimize::WeightedAutomaton wa = RandomLayeredAutomaton(rng);
-    std::vector<double> before = AllPathTotals(wa);
-    auto phi_before = optimize::DistanceToFinal(wa);
-    ASSERT_TRUE(phi_before.ok()) << phi_before.status();
-    const bool empty_language =
-        (*phi_before)[static_cast<size_t>(wa.initial)] == optimize::kNegInf;
-    const std::vector<optimize::WeightedAutomaton::Arc> arcs_before = wa.arcs;
-    ASSERT_TRUE(optimize::PushWeights(&wa).ok());
-    if (empty_language) {
-      // Documented degenerate case: no accepting path constrains anything,
-      // so the push is the identity — bitwise.
-      ASSERT_EQ(wa.arcs.size(), arcs_before.size());
-      for (size_t i = 0; i < wa.arcs.size(); ++i) {
-        EXPECT_EQ(wa.arcs[i].weight, arcs_before[i].weight);
-      }
-      continue;
-    }
-    std::vector<double> after = AllPathTotals(wa);
-    ASSERT_EQ(before.size(), after.size());
-    std::sort(before.begin(), before.end());
-    std::sort(after.begin(), after.end());
-    for (size_t i = 0; i < before.size(); ++i) {
-      // The documented tolerance: per-path totals telescope exactly in
-      // exact arithmetic; doubles round at each reassociation.
-      EXPECT_NEAR(after[i], before[i], 1e-12) << "path " << i;
-    }
-    // The point of pushing: every live state's completion distance is now
-    // zero, so the A*/Viterbi bound at any frontier state is exact.
-    auto phi = optimize::DistanceToFinal(wa);
-    ASSERT_TRUE(phi.ok()) << phi.status();
-    for (int q = 0; q < wa.num_states; ++q) {
-      if ((*phi)[q] == optimize::kNegInf) continue;
-      EXPECT_NEAR((*phi)[q], 0.0, 1e-12) << "state " << q;
-    }
-    // Idempotence: a second push has nothing left to move.
-    optimize::WeightedAutomaton pushed = wa;
-    ASSERT_TRUE(optimize::PushWeights(&pushed).ok());
-    for (size_t i = 0; i < wa.arcs.size(); ++i) {
-      EXPECT_NEAR(pushed.arcs[i].weight, wa.arcs[i].weight, 1e-12);
-    }
-  }
-}
-
-TEST(OptimizeEquivalenceTest, WeightPushingRejectsDivergingCycles) {
-  optimize::WeightedAutomaton wa;
-  wa.num_states = 2;
-  wa.initial = 0;
-  wa.final_weight = {optimize::kNegInf, 0.0};
-  wa.arcs.push_back({0, 1, 1.0});
-  wa.arcs.push_back({1, 0, 0.5});  // 0→1→0 gains +1.5 per lap, 1 is final
-  Status st = optimize::PushWeights(&wa);
-  EXPECT_FALSE(st.ok());
-  EXPECT_NE(st.message().find("diverge"), std::string::npos) << st;
-
-  // A negative-weight cycle converges: Bellman-Ford must terminate and the
-  // push must succeed.
-  optimize::WeightedAutomaton ok;
-  ok.num_states = 2;
-  ok.initial = 0;
-  ok.final_weight = {optimize::kNegInf, 0.0};
-  ok.arcs.push_back({0, 1, -1.0});
-  ok.arcs.push_back({1, 0, -0.5});
-  EXPECT_TRUE(optimize::PushWeights(&ok).ok());
 }
 
 // ---------------------------------------------------------------------------

@@ -1,11 +1,10 @@
-// Property-based fuzzer for the offline DFA minimization pass
-// (optimize/minimize.h): random NFAs are determinized, minimized, and the
-// result is checked for LANGUAGE EQUIVALENCE against the unminimized DFA
-// by product-automaton emptiness — L(m) \ L(d) = ∅ and L(d) \ L(m) = ∅ —
-// plus the independent Equivalent() oracle, random-string sampling,
-// idempotence, and a size cross-check against the automata-layer
-// Minimize(). TMS_TEST_SEED-replayable; labeled `robustness` so
-// tools/ci_verify.sh runs it under the sanitizer sweeps.
+// Property-based fuzzer for DFA minimization (automata::Minimize): random
+// NFAs are determinized, minimized, and the result is checked for
+// LANGUAGE EQUIVALENCE against the unminimized DFA by product-automaton
+// emptiness — L(m) \ L(d) = ∅ and L(d) \ L(m) = ∅ — plus the independent
+// Equivalent() oracle, random-string sampling, and idempotence.
+// TMS_TEST_SEED-replayable; labeled `robustness` so tools/ci_verify.sh
+// runs it under the sanitizer sweeps.
 
 #include <gtest/gtest.h>
 
@@ -16,7 +15,6 @@
 #include "automata/nfa.h"
 #include "automata/ops.h"
 #include "common/rng.h"
-#include "optimize/minimize.h"
 #include "test_util.h"
 #include "workload/random_models.h"
 
@@ -69,7 +67,7 @@ TEST(OptimizePropertyTest, MinimizedDfaAcceptsExactlyTheSameLanguage) {
     const int states = static_cast<int>(rng.UniformInt(1, 6));
     automata::Nfa nfa = RandomNfa(rng, sigma, states);
     automata::Dfa d = automata::Determinize(nfa);
-    automata::Dfa m = optimize::MinimizeDfa(d);
+    automata::Dfa m = automata::Minimize(d);
     SCOPED_TRACE("trial " + std::to_string(trial) + ": |nfa|=" +
                  std::to_string(states) + " |dfa|=" +
                  std::to_string(d.num_states()) + " |min|=" +
@@ -93,12 +91,10 @@ TEST(OptimizePropertyTest, MinimizedDfaAcceptsExactlyTheSameLanguage) {
           << "string of length " << s.size();
     }
 
-    // Minimality: no more states than the input, exactly as many as the
-    // automata-layer Hopcroft (two implementations, one canonical size),
-    // and a second pass has nothing left to merge.
+    // Minimality: no more states than the input, and a second pass has
+    // nothing left to merge.
     EXPECT_LE(m.num_states(), d.num_states());
-    EXPECT_EQ(m.num_states(), automata::Minimize(d).num_states());
-    EXPECT_EQ(optimize::MinimizeDfa(m).num_states(), m.num_states());
+    EXPECT_EQ(automata::Minimize(m).num_states(), m.num_states());
   }
 }
 
@@ -119,7 +115,7 @@ TEST(OptimizePropertyTest, MinimizeCollapsesRedundantStates) {
   nfa.SetAccepting(3);
   nfa.SetAccepting(6);
   automata::Dfa d = automata::Determinize(nfa);
-  automata::Dfa m = optimize::MinimizeDfa(d);
+  automata::Dfa m = automata::Minimize(d);
   // L = {aaa}: states for 0,1,2,3 symbols read, plus the sink.
   EXPECT_EQ(m.num_states(), 5);
   EXPECT_TRUE(automata::Equivalent(d, m));
@@ -134,7 +130,7 @@ TEST(OptimizePropertyTest, MinimizeHandlesDegenerateLanguages) {
   empty.SetInitial(0);
   empty.AddTransition(0, 0, 1);
   empty.AddTransition(1, 1, 2);
-  automata::Dfa d_empty = optimize::MinimizeDfa(automata::Determinize(empty));
+  automata::Dfa d_empty = automata::Minimize(automata::Determinize(empty));
   EXPECT_EQ(d_empty.num_states(), 1);
   EXPECT_TRUE(automata::IsEmpty(d_empty.ToNfa()));
 
@@ -147,7 +143,7 @@ TEST(OptimizePropertyTest, MinimizeHandlesDegenerateLanguages) {
       all.AddTransition(q, s, 1 - q);
     }
   }
-  automata::Dfa d_all = optimize::MinimizeDfa(automata::Determinize(all));
+  automata::Dfa d_all = automata::Minimize(automata::Determinize(all));
   EXPECT_EQ(d_all.num_states(), 1);
   EXPECT_TRUE(d_all.AcceptsEmpty());
 }

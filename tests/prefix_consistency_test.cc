@@ -53,8 +53,7 @@ std::vector<ranking::ScoredAnswer> DrainEmax(const Instance& inst,
                                              exec::ThreadPool* pool,
                                              exec::RunContext* run,
                                              int guard = 500) {
-  query::EmaxEnumerator it(inst.mu, inst.t,
-                           query::EmaxEnumerator::Options{pool, nullptr, run});
+  query::EmaxEnumerator it(inst.mu, inst.t, {.pool = pool, .run = run});
   std::vector<ranking::ScoredAnswer> out;
   for (int i = 0; i < guard; ++i) {
     auto answer = it.Next();
@@ -66,7 +65,7 @@ std::vector<ranking::ScoredAnswer> DrainEmax(const Instance& inst,
 
 std::vector<Str> DrainUnranked(const Instance& inst, exec::RunContext* run,
                                int guard = 2000) {
-  query::UnrankedEnumerator it(inst.mu, inst.t, run);
+  query::UnrankedEnumerator it(inst.mu, inst.t, {.run = run});
   std::vector<Str> out;
   for (int i = 0; i < guard; ++i) {
     auto answer = it.Next();
@@ -270,7 +269,7 @@ TEST(PrefixConsistencyTest, ImaxEnumeratorHonorsTheContract) {
         exec::RunContext run;
         run.set_max_answers(static_cast<int64_t>(cap));
         auto it = projector::ImaxEnumerator::Create(
-            &mu, &*p, pool ? &*pool : nullptr, &run);
+            &mu, &*p, {.pool = pool ? &*pool : nullptr, .run = &run});
         ASSERT_TRUE(it.ok());
         std::vector<ranking::ScoredAnswer> bounded;
         while (auto a = it->Next()) bounded.push_back(std::move(*a));

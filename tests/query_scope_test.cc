@@ -19,6 +19,7 @@
 #include "exec/thread_pool.h"
 #include "obs/obs.h"
 #include "query/emax_enum.h"
+#include "test_util.h"
 #include "transducer/transducer.h"
 #include "workload/random_models.h"
 
@@ -62,8 +63,7 @@ Transducer RandomT(const Alphabet& nodes, Rng& rng) {
 std::vector<ScoredAnswer> DrainEmax(const markov::MarkovSequence& mu,
                                     const Transducer& t,
                                     exec::ThreadPool* pool, int limit = 50) {
-  query::EmaxEnumerator it(mu, t, query::EmaxEnumerator::Options{pool,
-                                                                 nullptr});
+  query::EmaxEnumerator it(mu, t, {.pool = pool});
   std::vector<ScoredAnswer> out;
   while (static_cast<int>(out.size()) < limit) {
     auto answer = it.Next();
@@ -237,7 +237,7 @@ TEST_F(QueryScopeTest, ConcurrentBatchQueriesOnSharedPoolStayDisjoint) {
     db::BatchEvaluator::Options options;  // threads=1, owned no-op pool
     auto batch = db::BatchEvaluator::Create(&coll, &t, options);
     EXPECT_TRUE(batch.ok());
-    auto rows = batch->TopKPerSequence(3);
+    auto rows = testing::BatchRows(batch->EvaluateAll(3));
     EXPECT_TRUE(rows.ok());
     return std::move(*rows);
   };
@@ -265,7 +265,7 @@ TEST_F(QueryScopeTest, ConcurrentBatchQueriesOnSharedPoolStayDisjoint) {
     options.pool = &shared;
     auto batch = db::BatchEvaluator::Create(coll, t, options);
     ASSERT_TRUE(batch.ok());
-    auto rows = batch->TopKPerSequence(3);
+    auto rows = testing::BatchRows(batch->EvaluateAll(3));
     ASSERT_TRUE(rows.ok());
     out->rows = std::move(*rows);
     auto snapshot = scope.Snapshot();

@@ -193,6 +193,16 @@ class ServeTest : public ::testing::Test {
     return io::FormatTransducer(workload::Figure2Transducer());
   }
 
+  // An s-projector over the running example's alphabet.
+  std::string SProjectorBody() {
+    return "s-projector\n"
+           "alphabet r1a r1b r2a r2b la lb\n"
+           "prefix . *\n"
+           "pattern ( la | lb ) [^ r2a r2b ] *\n"
+           "suffix ( r2a | r2b ) . *\n"
+           "end\n";
+  }
+
   // The expected answer lines of a ranked stream, computed through the
   // same engine + serializer path the one-shot evaluator uses. Comparing
   // the HTTP body against this IS the byte-identity check: tms_cli's
@@ -304,20 +314,51 @@ TEST_F(ServeTest, EnumModeStreamsPlainAnswers) {
 
 TEST_F(ServeTest, SProjectorQueryStreamsImaxLines) {
   StartServer(ServerOptions{});
-  const std::string body =
-      "s-projector\n"
-      "alphabet r1a r1b r2a r2b la lb\n"
-      "prefix . *\n"
-      "pattern ( la | lb ) [^ r2a r2b ] *\n"
-      "suffix ( r2a | r2b ) . *\n"
-      "end\n";
-  auto response = ParseResponse(Post(port_, "/query/fig1?k=2", body));
+  auto response =
+      ParseResponse(Post(port_, "/query/fig1?k=2", SProjectorBody()));
   ASSERT_TRUE(response.has_value());
   EXPECT_EQ(response->code, 200);
   std::vector<std::string> lines = Lines(response->body);
   ASSERT_GE(lines.size(), 2u);
   EXPECT_NE(lines[0].find("\"imax\":"), std::string::npos);
   EXPECT_NE(lines.back().find("\"done\":true"), std::string::npos);
+}
+
+// A served query runs the shared answer pipeline, so /metrics times the
+// confidence of every streamed answer, of transducer and s-projector
+// queries alike.
+TEST_F(ServeTest, MetricsTimeConfidenceOfEveryStreamedAnswer) {
+#if !TMS_OBS_ACTIVE
+  GTEST_SKIP() << "metrics are compiled out";
+#else
+  obs::SetEnabled(true);
+  StartServer(ServerOptions{});
+  const std::string sample = "\ntms_query_topk_confidence_ns_count ";
+  // The sample's value, or nullopt when /metrics does not export it.
+  auto timed_confidences = [&]() -> std::optional<int64_t> {
+    auto metrics = ParseResponse(Get(port_, "/metrics"));
+    if (!metrics.has_value()) return std::nullopt;
+    const size_t pos = metrics->body.find(sample);
+    if (pos == std::string::npos) return std::nullopt;
+    return std::strtoll(metrics->body.c_str() + pos + sample.size(), nullptr,
+                        10);
+  };
+  // Earlier tests in this process may have recorded some already.
+  const int64_t before = timed_confidences().value_or(0);
+
+  int64_t answer_lines = 0;
+  for (const std::string& body : {QueryBody(), SProjectorBody()}) {
+    auto response = ParseResponse(Post(port_, "/query/fig1?k=3", body));
+    ASSERT_TRUE(response.has_value());
+    ASSERT_EQ(response->code, 200);
+    std::vector<std::string> lines = Lines(response->body);
+    ASSERT_GE(lines.size(), 2u);  // answers, then the footer
+    answer_lines += static_cast<int64_t>(lines.size()) - 1;
+  }
+  const std::optional<int64_t> after = timed_confidences();
+  ASSERT_TRUE(after.has_value()) << "/metrics has no" << sample;
+  EXPECT_EQ(*after - before, answer_lines);
+#endif
 }
 
 TEST_F(ServeTest, BadRequestsGet400) {

@@ -10,7 +10,10 @@
 #include <string>
 
 #include "common/rng.h"
-#include "projector/evaluator.h"
+#include "projector/imax_enum.h"
+#include "projector/indexed_confidence.h"
+#include "projector/indexed_enum.h"
+#include "query/answers.h"
 #include "query/evaluator.h"
 #include "query/unranked_enum.h"
 #include "test_util.h"
@@ -117,36 +120,41 @@ TEST_P(SProjectorSweep, FacadeMatchesBruteForce) {
         workload::RandomDfa(mu.nodes(), param.states, rng, 0.6),
         workload::RandomDfa(mu.nodes(), param.states, rng, 0.6));
     ASSERT_TRUE(p.ok());
-    auto eval = projector::SProjectorEvaluator::Create(&mu, &*p);
-    ASSERT_TRUE(eval.ok());
+    auto indexed_conf = projector::IndexedConfidence::Create(&mu, &*p);
+    ASSERT_TRUE(indexed_conf.ok());
 
     auto indexed_truth = testing::BruteForceIndexedAnswers(mu, *p);
     auto string_truth = testing::BruteForceSProjectorAnswers(mu, *p);
 
     // Indexed top-k: exact order, correct confidences.
-    auto indexed = eval->TopKIndexed(5);
+    auto indexed = projector::TopKIndexed(mu, *p, 5);
     double prev = 1e300;
     for (const auto& r : indexed) {
       auto key = std::make_pair(r.answer.output, r.answer.index);
       ASSERT_TRUE(indexed_truth.count(key));
       EXPECT_NEAR(r.confidence, indexed_truth.at(key), 1e-9);
-      EXPECT_NEAR(eval->IndexedConfidenceOf(r.answer), r.confidence, 1e-9);
+      EXPECT_NEAR(indexed_conf->Confidence(r.answer), r.confidence, 1e-9);
       EXPECT_LE(r.confidence, prev + 1e-12);
       prev = r.confidence;
     }
 
     // Distinct-string top-k: I_max order, exact confidences, Prop 5.9.
-    auto topk = eval->TopK(5);
+    auto pipeline =
+        query::AnswerPipeline::Create(mu, *p, query::AnswerMode::kRanked);
+    ASSERT_TRUE(pipeline.ok()) << pipeline.status();
+    auto topk = pipeline->Take(5);
     ASSERT_TRUE(topk.ok()) << topk.status();
     prev = 1e300;
     for (const auto& info : *topk) {
+      const double imax = info.emax;  // the score of an s-projector stream
       ASSERT_TRUE(string_truth.count(info.output));
       EXPECT_NEAR(info.confidence, string_truth.at(info.output), 1e-9);
-      EXPECT_NEAR(info.imax, eval->Imax(info.output), 1e-9);
-      EXPECT_LE(info.imax, info.confidence + 1e-9);
-      EXPECT_LE(info.confidence, (param.n + 1) * info.imax + 1e-9);
-      EXPECT_LE(info.imax, prev + 1e-12);
-      prev = info.imax;
+      EXPECT_NEAR(imax, projector::ImaxOfAnswer(*indexed_conf, info.output),
+                  1e-9);
+      EXPECT_LE(imax, info.confidence + 1e-9);
+      EXPECT_LE(info.confidence, (param.n + 1) * imax + 1e-9);
+      EXPECT_LE(imax, prev + 1e-12);
+      prev = imax;
     }
   }
 }

@@ -12,6 +12,8 @@
 #include <utility>
 #include <vector>
 
+#include "db/batch_evaluator.h"
+#include "db/collection.h"
 #include "markov/markov_sequence.h"
 #include "markov/world_iter.h"
 #include "projector/sprojector.h"
@@ -115,6 +117,22 @@ inline std::map<Str, double> BruteForceSProjectorAnswers(
     for (const auto& [o, unused] : outputs) out[o] += prob;
   });
   return out;
+}
+
+/// The answers of a BatchEvaluator::EvaluateAll run as flat (key, answer)
+/// rows, in key order then rank order: the rows of
+/// SequenceCollection::TopKPerSequence. The status of the first failed
+/// sequence instead, if any.
+inline StatusOr<std::vector<db::SequenceCollection::Row>> BatchRows(
+    const std::vector<db::BatchEvaluator::SequenceResult>& results) {
+  std::vector<db::SequenceCollection::Row> rows;
+  for (const db::BatchEvaluator::SequenceResult& r : results) {
+    if (!r.status.ok()) return r.status;
+    for (const query::AnswerInfo& info : r.answers) {
+      rows.push_back(db::SequenceCollection::Row{r.key, info});
+    }
+  }
+  return rows;
 }
 
 }  // namespace tms::testing

@@ -35,12 +35,19 @@
 #              per-query explain sidecar
 #              (BENCH_enumeration_delay_explain.json); set
 #              TMS_UPDATE_BASELINES=1 to refresh bench/baselines/
+#  10. perfbench: configures the serving benchmark (perfbench/, see
+#              BENCHMARK.json) into build-perfbench/, builds tms_server and
+#              tms_perfbench, and runs each workload for one second. A
+#              library change that breaks the benchmark's build fails
+#              here, and so does a /query or /batch line that differs from
+#              perfbench's in-process replay: each run must end with
+#              "correct":true and "failed":0
 #
 # Build trees are reused across runs (build/, build-asan/, build-tsan/,
-# build-off/, build-release/ under the repo root), so incremental
-# invocations are cheap. Pass a stage name (tier1 | asan | tsan | off |
-# serve | dist | release | repeat | bench) to run just that stage; default
-# is all nine.
+# build-off/, build-release/, build-perfbench/ under the repo root), so
+# incremental invocations are cheap. Pass a stage name (tier1 | asan |
+# tsan | off | serve | dist | release | repeat | bench | perfbench) to
+# run just that stage; default is all ten.
 #
 #   tools/ci_verify.sh            # everything
 #   tools/ci_verify.sh tsan       # just the TSan stage
@@ -170,9 +177,37 @@ case "$STAGE" in
     ;;
 esac
 case "$STAGE" in
-  tier1|asan|tsan|off|serve|dist|release|repeat|bench|all) ;;
+  perfbench|all)
+    PB="$ROOT/build-perfbench"
+    echo "==> [perfbench] configure + build ($PB)"
+    cmake -B "$PB" -S "$ROOT/perfbench" >/dev/null
+    cmake --build "$PB" -j "$JOBS" --target tms_server tms_perfbench
+    WORK=$(mktemp -d)
+    trap 'rm -rf "$WORK"' EXIT
+    for w in rfid_topk batch_exact long_sparse; do
+      echo "==> [perfbench] $w"
+      "$PB/tms_perfbench" --workload="$w" --seed=1 --seconds=1 --trace=0 \
+        --server="$PB/tms/tools/tms_server" --work-dir="$WORK/$w" \
+        > "$WORK/$w.out"
+      last=$(tail -n 1 "$WORK/$w.out")
+      echo "$last"
+      case "$last" in
+        *'"correct":true'*) ;;
+        *) echo "perfbench $w: a streamed line differs from the replay" >&2
+           exit 1 ;;
+      esac
+      case "$last" in
+        *'"failed":0,'*|*'"failed":0}'*) ;;
+        *) echo "perfbench $w: requests failed" >&2; exit 1 ;;
+      esac
+    done
+    ;;
+esac
+case "$STAGE" in
+  tier1|asan|tsan|off|serve|dist|release|repeat|bench|perfbench|all) ;;
   *)
-    echo "usage: $0 [tier1|asan|tsan|off|serve|dist|release|repeat|bench|all]" >&2
+    stages="tier1|asan|tsan|off|serve|dist|release|repeat|bench|perfbench"
+    echo "usage: $0 [$stages|all]" >&2
     exit 2
     ;;
 esac

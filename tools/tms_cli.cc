@@ -12,11 +12,7 @@
 //       One query across many sequences (db::BatchEvaluator): per-sequence
 //       top-k answers by E_max, keyed by sequence file. With --threads=N
 //       the sequences are evaluated concurrently; output is identical at
-//       every thread count. With --shards=N the collection is partitioned
-//       into N shards evaluated independently and k-way-merged back into
-//       ONE globally ranked stream (docs/DISTRIBUTED.md); the merged
-//       stream is byte-identical at every shard count (--shards=1 is the
-//       single-process reference ordering).
+//       every thread count.
 //   tms_cli dist <query-file> <k> --workers=host:port[,host:port...]
 //       Scatter/gather across running tms_server workers: POSTs the query
 //       to every worker's /batch endpoint (worker i = shard i), k-way
@@ -95,7 +91,6 @@
 #include "db/collection.h"
 #include "dist/client.h"
 #include "dist/coordinator.h"
-#include "dist/sharded_batch.h"
 #include "exec/run_context.h"
 #include "exec/thread_pool.h"
 #include "io/text_format.h"
@@ -107,7 +102,7 @@
 #include "optimize/transducer_opt.h"
 #include "projector/imax_enum.h"
 #include "projector/sprojector_confidence.h"
-#include "query/engine_factory.h"
+#include "query/answers.h"
 #include "query/evaluator.h"
 #include "serve/wire.h"
 
@@ -129,9 +124,6 @@ struct ObsOptions {
 // N <= 1 means no pool at all — the plain sequential engine.
 struct ExecOptions {
   int threads = 1;
-  // --shards=N for `batch`: 0 = flag absent (classic per-sequence
-  // output); >= 1 = sharded evaluation with a globally ranked merge.
-  int shards = 0;
   // --workers=host:port,... for `dist`.
   std::string workers;
   // -1 = unbounded (flag absent).
@@ -154,12 +146,10 @@ struct ExecOptions {
 
   // The full engine-options bundle the enumeration engines consume.
   exec::EngineOptions MakeEngineOptions() {
-    exec::EngineOptions options;
-    options.pool = MakePool();
-    options.run = MakeRun();
-    options.backend = backend;
-    options.optimize = optimize;
-    return options;
+    return {.pool = MakePool(),
+            .run = MakeRun(),
+            .backend = backend,
+            .optimize = optimize};
   }
 
   // The run context already created by MakeRun, or null — for the explain
@@ -230,8 +220,8 @@ int Usage() {
                "       tms_cli explain <sequence> <query> [k]\n"
                "       tms_cli optimize <query> [artifact-out]\n"
                "       tms_cli show <file>\n"
-               "flags: --threads=N | --shards=N | --deadline-ms=N | "
-               "--max-answers=N | --budget=N |\n"
+               "flags: --threads=N | --deadline-ms=N | --max-answers=N | "
+               "--budget=N |\n"
                "       --backend=dense|sparse|auto | --optimize=off|auto|on "
                "|\n"
                "       --stats | --stats=json | --stats=prom | --trace=FILE |\n"
@@ -245,94 +235,60 @@ StatusOr<markov::MarkovSequence> LoadSequence(const std::string& path) {
   return io::ParseMarkovSequence(*text);
 }
 
-struct Query {
-  // Exactly one is set.
-  std::optional<transducer::Transducer> transducer;
-  std::optional<projector::SProjector> sprojector;
-};
-
-StatusOr<Query> LoadQuery(const std::string& path) {
+StatusOr<query::Query> ReadQuery(const std::string& path) {
   auto text = io::ReadFile(path);
   if (!text.ok()) return text.status();
-  auto format = io::DetectFormat(*text);
-  if (!format.ok()) return format.status();
-  Query out;
-  if (*format == "transducer") {
-    auto t = io::ParseTransducer(*text);
-    if (!t.ok()) return t.status();
-    out.transducer = std::move(t).value();
-    return out;
-  }
-  if (*format == "s-projector") {
-    auto p = io::ParseSProjector(*text);
-    if (!p.ok()) return p.status();
-    out.sprojector = std::move(p).value();
-    return out;
-  }
-  return Status::InvalidArgument("query file must be a transducer or an "
-                                 "s-projector, got: " + *format);
+  return query::ParseQuery(*text);
 }
 
-int RunTopK(const std::string& seq_path, const std::string& query_path,
-            int k, ExecOptions* exec, CliOutput* out) {
+// topk / explain (ranked) and enum: one answer pipeline, printed as a
+// table or as the --stats=json results array.
+int RunAnswers(const std::string& seq_path, const std::string& query_path,
+               query::AnswerMode mode, int limit, ExecOptions* exec,
+               CliOutput* out) {
   auto mu = LoadSequence(seq_path);
   if (!mu.ok()) return Fail(mu.status());
-  auto query = LoadQuery(query_path);
+  auto query = ReadQuery(query_path);
   if (!query.ok()) return Fail(query.status());
+  auto pipeline = query::AnswerPipeline::Create(*mu, *query, mode,
+                                                exec->MakeEngineOptions());
+  if (!pipeline.ok()) return Fail(pipeline.status());
 
+  const bool ranked = mode == query::AnswerMode::kRanked;
+  if (ranked && !out->json) {
+    std::printf("%-30s %-14s %-14s\n", "answer",
+                std::strcmp(pipeline->score_key(), "emax") == 0 ? "E_max"
+                                                                : "I_max",
+                "confidence");
+  }
   out->results = "[";
-  bool first = true;
-  if (query->transducer.has_value()) {
-    auto eval = query::Evaluator::Create(&*mu, &*query->transducer);
-    if (!eval.ok()) return Fail(eval.status());
-    eval->set_execution(exec->MakeEngineOptions());
-    auto topk = eval->TopK(k);
-    if (!topk.ok()) return Fail(topk.status());
-    if (!out->json) {
-      std::printf("%-30s %-14s %-14s\n", "answer", "E_max", "confidence");
-    }
-    for (const query::AnswerInfo& info : *topk) {
-      std::string answer = FormatStr(query->transducer->output_alphabet(),
-                                     info.output);
-      if (out->json) {
-        if (!first) out->results += ',';
-        first = false;
-        AppendAnswerJson(answer, "emax", info.emax, info.confidence,
-                         &out->results);
-      } else {
-        std::printf("%-30s %-14.6g %-14.6g\n", answer.c_str(), info.emax,
-                    info.confidence);
-      }
-    }
-    out->results += ']';
-    ReportRun(exec->MakeRun(), out);
-    return 0;
-  }
-  auto it = query::MakeEnumerator(*mu, *query->sprojector,
-                                  exec->MakeEngineOptions());
-  if (!it.ok()) return Fail(it.status());
-  if (!out->json) {
-    std::printf("%-30s %-14s %-14s\n", "answer", "I_max", "confidence");
-  }
-  for (int i = 0; i < k; ++i) {
-    auto answer = (*it)->Next();
-    if (!answer.has_value()) break;
-    auto conf = projector::SProjectorConfidence(*mu, *query->sprojector,
-                                                answer->output);
-    if (!conf.ok()) return Fail(conf.status());
-    std::string formatted = FormatStr(query->sprojector->alphabet(),
-                                      answer->output);
+  int count = 0;
+  for (; count < limit; ++count) {
+    auto answer = pipeline->Next();
+    if (!answer.ok()) return Fail(answer.status());
+    if (!answer->has_value()) break;
+    const query::AnswerInfo& info = **answer;
+    const std::string text = FormatStr(pipeline->output_alphabet(),
+                                       info.output);
     if (out->json) {
-      if (!first) out->results += ',';
-      first = false;
-      AppendAnswerJson(formatted, "imax", answer->score, *conf,
-                       &out->results);
+      if (count > 0) out->results += ',';
+      if (ranked) {
+        AppendAnswerJson(text, pipeline->score_key(), info.emax,
+                         info.confidence, &out->results);
+      } else {
+        out->results += '"';
+        obs::AppendJsonEscaped(text, &out->results);
+        out->results += '"';
+      }
+    } else if (ranked) {
+      std::printf("%-30s %-14.6g %-14.6g\n", text.c_str(), info.emax,
+                  info.confidence);
     } else {
-      std::printf("%-30s %-14.6g %-14.6g\n", formatted.c_str(),
-                  answer->score, *conf);
+      std::printf("%s\n", text.c_str());
     }
   }
   out->results += ']';
+  if (!ranked && !out->json) std::fprintf(stderr, "%d answer(s)\n", count);
   ReportRun(exec->MakeRun(), out);
   return 0;
 }
@@ -341,12 +297,12 @@ int RunConf(const std::string& seq_path, const std::string& query_path,
             const std::vector<std::string>& symbols, CliOutput* out) {
   auto mu = LoadSequence(seq_path);
   if (!mu.ok()) return Fail(mu.status());
-  auto query = LoadQuery(query_path);
+  auto query = ReadQuery(query_path);
   if (!query.ok()) return Fail(query.status());
+  const auto* t = std::get_if<transducer::Transducer>(&*query);
+  const auto* p = std::get_if<projector::SProjector>(&*query);
 
-  const Alphabet& delta = query->transducer.has_value()
-                              ? query->transducer->output_alphabet()
-                              : query->sprojector->alphabet();
+  const Alphabet& delta = t != nullptr ? t->output_alphabet() : p->alphabet();
   Str o;
   for (const std::string& symbol : symbols) {
     auto sym = delta.Find(symbol);
@@ -357,8 +313,8 @@ int RunConf(const std::string& seq_path, const std::string& query_path,
   double confidence = 0.0;
   const char* score_key = nullptr;
   double score = 0.0;
-  if (query->transducer.has_value()) {
-    auto eval = query::Evaluator::Create(&*mu, &*query->transducer);
+  if (t != nullptr) {
+    auto eval = query::Evaluator::Create(&*mu, t);
     if (!eval.ok()) return Fail(eval.status());
     auto conf = eval->Confidence(o);
     if (!conf.ok()) return Fail(conf.status());
@@ -367,10 +323,9 @@ int RunConf(const std::string& seq_path, const std::string& query_path,
     score_key = "emax";
     score = emax.has_value() ? *emax : 0.0;
   } else {
-    auto conf = projector::SProjectorConfidence(*mu, *query->sprojector, o);
+    auto conf = projector::SProjectorConfidence(*mu, *p, o);
     if (!conf.ok()) return Fail(conf.status());
-    auto computer = projector::IndexedConfidence::Create(&*mu,
-                                                         &*query->sprojector);
+    auto computer = projector::IndexedConfidence::Create(&*mu, p);
     if (!computer.ok()) return Fail(computer.status());
     confidence = *conf;
     score_key = "imax";
@@ -393,51 +348,14 @@ int RunConf(const std::string& seq_path, const std::string& query_path,
   return 0;
 }
 
-int RunEnum(const std::string& seq_path, const std::string& query_path,
-            int limit, ExecOptions* exec, CliOutput* out) {
-  auto mu = LoadSequence(seq_path);
-  if (!mu.ok()) return Fail(mu.status());
-  auto query = LoadQuery(query_path);
-  if (!query.ok()) return Fail(query.status());
-
-  transducer::Transducer t = query->transducer.has_value()
-                                 ? std::move(*query->transducer)
-                                 : query->sprojector->ToTransducer();
-  auto it = query::MakeEnumerator(query::EnumeratorKind::kUnranked, *mu, t,
-                                  exec->MakeEngineOptions());
-  if (!it.ok()) return Fail(it.status());
-  int count = 0;
-  out->results = "[";
-  while (count < limit) {
-    auto answer = (*it)->Next();
-    if (!answer.has_value()) break;
-    std::string formatted = FormatStr(t.output_alphabet(), answer->output);
-    if (out->json) {
-      if (count > 0) out->results += ',';
-      out->results += '"';
-      obs::AppendJsonEscaped(formatted, &out->results);
-      out->results += '"';
-    } else {
-      std::printf("%s\n", formatted.c_str());
-    }
-    ++count;
-  }
-  out->results += ']';
-  if (!out->json) std::fprintf(stderr, "%d answer(s)\n", count);
-  ReportRun(exec->MakeRun(), out);
-  return 0;
-}
-
 int RunBatch(const std::string& query_path,
              const std::vector<std::string>& seq_paths, int k,
              ExecOptions* exec, CliOutput* out) {
-  auto query = LoadQuery(query_path);
+  auto query = ReadQuery(query_path);
   if (!query.ok()) return Fail(query.status());
   // BatchEvaluator ranks by E_max, so an s-projector query runs as its
   // equivalent transducer.
-  transducer::Transducer t = query->transducer.has_value()
-                                 ? std::move(*query->transducer)
-                                 : query->sprojector->ToTransducer();
+  const transducer::Transducer t = query::AsTransducer(std::move(*query));
   db::SequenceCollection collection(t.input_alphabet());
   for (const std::string& path : seq_paths) {
     auto mu = LoadSequence(path);
@@ -445,147 +363,86 @@ int RunBatch(const std::string& query_path,
     Status st = collection.Insert(path, std::move(*mu));
     if (!st.ok()) return Fail(st);
   }
-  if (exec->shards > 0) {
-    // Sharded evaluation with a globally ranked k-way merge
-    // (docs/DISTRIBUTED.md). --shards=1 is the single-process reference
-    // ordering; every other shard count must reproduce it byte for byte.
-    dist::ShardedBatchOptions sharded_options;
-    sharded_options.shards = exec->shards;
-    sharded_options.threads = exec->threads;
-    sharded_options.run = exec->MakeRun();
-    sharded_options.backend = exec->backend;
-    sharded_options.optimize = exec->optimize;
-    auto sharded = dist::EvaluateSharded(collection, t, k, sharded_options);
-    if (!sharded.ok()) return Fail(sharded.status());
-    out->results = "{\"rows\":[";
-    bool first = true;
-    if (!out->json) {
-      std::printf("%-30s %-30s %-14s %-14s\n", "sequence", "answer", "E_max",
-                  "confidence");
-    }
-    for (const dist::RankedRow& row : sharded->rows) {
-      const std::string answer =
-          FormatStr(t.output_alphabet(), row.answer.output);
-      if (out->json) {
-        if (!first) out->results += ',';
-        first = false;
-        serve::AppendBatchRowJson(row.key, answer, row.answer.emax,
-                                  row.answer.confidence, &out->results);
-      } else {
-        std::printf("%-30s %-30s %-14.6g %-14.6g\n", row.key.c_str(),
-                    answer.c_str(), row.answer.emax, row.answer.confidence);
-      }
-    }
-    out->results += "],\"coverage\":";
-    out->results += dist::CoverageJson(sharded->coverage);
-    out->results += '}';
-    if (!out->json) {
-      for (const dist::ShardCoverage& c : sharded->coverage) {
-        if (c.failed) {
-          std::fprintf(stderr, "shard %d failed: %s\n", c.shard_id,
-                       c.status.ToString().c_str());
-        } else if (c.truncated) {
-          std::fprintf(stderr, "shard %d truncated (%s)\n", c.shard_id,
-                       StopReasonName(c.reason));
-        }
-      }
-    }
-    if (sharded_options.run != nullptr) {
-      (void)sharded_options.run->StopRequested();
-    }
-    ReportRun(exec->PeekRun(), out);
-    return 0;
-  }
 
-  db::BatchEvaluator::Options options;
-  options.threads = exec->threads;
-  options.run = exec->MakeRun();
-  options.backend = exec->backend;
-  options.optimize = exec->optimize;
+  db::BatchEvaluator::Options options{.threads = exec->threads,
+                                      .run = exec->MakeRun(),
+                                      .backend = exec->backend,
+                                      .optimize = exec->optimize};
   auto batch = db::BatchEvaluator::Create(&collection, &t, options);
   if (!batch.ok()) return Fail(batch.status());
-
-  if (options.run != nullptr) {
-    // Bounded batch: failure-isolating per-sequence evaluation. Each
-    // sequence reports its own status/truncation; the batch never aborts.
-    std::vector<db::BatchEvaluator::SequenceResult> results =
-        batch->EvaluateAll(k);
-    out->results = "[";
-    bool first_seq = true;
-    if (!out->json) {
-      std::printf("%-30s %-30s %-14s %-14s\n", "sequence", "answer", "E_max",
-                  "confidence");
-    }
+  const std::vector<db::BatchEvaluator::SequenceResult> results =
+      batch->EvaluateAll(k);
+  // Unbounded, the first failed sequence (in key order) fails the command.
+  // Bounded, each sequence reports its own status and truncation.
+  const bool bounded = options.run != nullptr;
+  if (!bounded) {
     for (const db::BatchEvaluator::SequenceResult& r : results) {
-      if (out->json) {
-        if (!first_seq) out->results += ',';
-        first_seq = false;
-        out->results += "{\"sequence\":\"";
-        obs::AppendJsonEscaped(r.key, &out->results);
-        out->results += "\",\"exec\":";
-        out->results += ExecJson(r.status, r.reason,
-                                 static_cast<int64_t>(r.answers.size()), 0);
-        out->results += ",\"answers\":[";
-        bool first = true;
-        for (const query::AnswerInfo& info : r.answers) {
-          if (!first) out->results += ',';
-          first = false;
-          AppendAnswerJson(FormatStr(t.output_alphabet(), info.output), "emax",
-                           info.emax, info.confidence, &out->results);
-        }
-        out->results += "]}";
-        continue;
-      }
-      for (const query::AnswerInfo& info : r.answers) {
-        std::printf("%-30s %-30s %-14.6g %-14.6g\n", r.key.c_str(),
-                    FormatStr(t.output_alphabet(), info.output).c_str(),
-                    info.emax, info.confidence);
-      }
-      if (!r.status.ok()) {
-        std::fprintf(stderr, "%s: %s\n", r.key.c_str(),
-                     r.status.ToString().c_str());
-      } else if (r.truncated) {
-        std::fprintf(stderr, "%s: truncated after %zu answer(s)\n",
-                     r.key.c_str(), r.answers.size());
-      }
+      if (!r.status.ok()) return Fail(r.status);
     }
-    out->results += ']';
-    // Fold any shared limit (deadline / budget / cancel) into the parent
-    // stream so the top-level exec report reflects it; per-sequence answer
-    // caps stay per sequence.
-    (void)options.run->StopRequested();
-    ReportRun(options.run, out);
-    return 0;
   }
 
-  auto rows = batch->TopKPerSequence(k);
-  if (!rows.ok()) return Fail(rows.status());
-
-  out->results = "[";
-  bool first = true;
   if (!out->json) {
     std::printf("%-30s %-30s %-14s %-14s\n", "sequence", "answer", "E_max",
                 "confidence");
   }
-  for (const db::SequenceCollection::Row& row : *rows) {
-    std::string answer = FormatStr(t.output_alphabet(), row.answer.output);
-    if (out->json) {
+  out->results = "[";
+  bool first = true;
+  for (const db::BatchEvaluator::SequenceResult& r : results) {
+    if (out->json && bounded) {
+      // One entry per sequence, carrying its own exec outcome.
       if (!first) out->results += ',';
       first = false;
       out->results += "{\"sequence\":\"";
-      obs::AppendJsonEscaped(row.key, &out->results);
+      obs::AppendJsonEscaped(r.key, &out->results);
+      out->results += "\",\"exec\":";
+      out->results += ExecJson(r.status, r.reason,
+                               static_cast<int64_t>(r.answers.size()), 0);
+      out->results += ",\"answers\":[";
+      bool first_answer = true;
+      for (const query::AnswerInfo& info : r.answers) {
+        if (!first_answer) out->results += ',';
+        first_answer = false;
+        AppendAnswerJson(FormatStr(t.output_alphabet(), info.output), "emax",
+                         info.emax, info.confidence, &out->results);
+      }
+      out->results += "]}";
+      continue;
+    }
+    for (const query::AnswerInfo& info : r.answers) {
+      const std::string answer = FormatStr(t.output_alphabet(), info.output);
+      if (!out->json) {
+        std::printf("%-30s %-30s %-14.6g %-14.6g\n", r.key.c_str(),
+                    answer.c_str(), info.emax, info.confidence);
+        continue;
+      }
+      // One flat row per answer: the answer fields of AppendAnswerJson
+      // minus its braces, after the sequence key.
+      if (!first) out->results += ',';
+      first = false;
+      out->results += "{\"sequence\":\"";
+      obs::AppendJsonEscaped(r.key, &out->results);
       out->results += "\",";
-      // Reuse the answer fields of AppendAnswerJson minus its braces.
       std::string answer_json;
-      AppendAnswerJson(answer, "emax", row.answer.emax, row.answer.confidence,
+      AppendAnswerJson(answer, "emax", info.emax, info.confidence,
                        &answer_json);
       out->results += answer_json.substr(1);
-    } else {
-      std::printf("%-30s %-30s %-14.6g %-14.6g\n", row.key.c_str(),
-                  answer.c_str(), row.answer.emax, row.answer.confidence);
+    }
+    if (out->json) continue;
+    if (!r.status.ok()) {
+      std::fprintf(stderr, "%s: %s\n", r.key.c_str(),
+                   r.status.ToString().c_str());
+    } else if (r.truncated) {
+      std::fprintf(stderr, "%s: truncated after %zu answer(s)\n",
+                   r.key.c_str(), r.answers.size());
     }
   }
   out->results += ']';
+  if (!bounded) return 0;
+  // Fold any shared limit (deadline / budget / cancel) into the parent
+  // stream so the top-level exec report reflects it; per-sequence answer
+  // caps stay per sequence.
+  (void)options.run->StopRequested();
+  ReportRun(options.run, out);
   return 0;
 }
 
@@ -694,14 +551,14 @@ int RunShow(const std::string& path, CliOutput* out) {
 // server's registry precompile loads at cold start.
 int RunOptimize(const std::string& query_path, const std::string& out_path,
                 CliOutput* out) {
-  auto query = LoadQuery(query_path);
+  auto query = ReadQuery(query_path);
   if (!query.ok()) return Fail(query.status());
-  if (!query->transducer.has_value()) {
+  if (!std::holds_alternative<transducer::Transducer>(*query)) {
     return Fail(Status::InvalidArgument(
         "optimize expects a transducer query; s-projectors compose no "
         "product automaton and have nothing to optimize"));
   }
-  const transducer::Transducer& t = *query->transducer;
+  const transducer::Transducer& t = std::get<transducer::Transducer>(*query);
   optimize::OptimizeStats stats;
   transducer::Transducer optimized = optimize::MinimizeTransducer(t, &stats);
   Status saved = optimize::SaveArtifactFile(out_path, t, optimized);
@@ -766,14 +623,6 @@ bool ParseObsFlags(std::vector<std::string>* args, ObsOptions* opts,
     } else if (arg.rfind("--flight-dump=", 0) == 0) {
       opts->flight_dump = arg.substr(std::strlen("--flight-dump="));
       if (opts->flight_dump.empty()) return false;
-    } else if (arg.rfind("--shards=", 0) == 0) {
-      if (!ParsePositiveInt(
-              std::string_view(arg).substr(std::strlen("--shards=")),
-              &exec->shards)) {
-        std::fprintf(stderr, "error: invalid --shards value in '%s'\n",
-                     arg.c_str());
-        return false;
-      }
     } else if (arg.rfind("--workers=", 0) == 0) {
       exec->workers = arg.substr(std::strlen("--workers="));
       if (exec->workers.empty()) return false;
@@ -818,7 +667,6 @@ bool ParseObsFlags(std::vector<std::string>* args, ObsOptions* opts,
       exec->optimize = *level;
     } else if (arg.rfind("--stats", 0) == 0 || arg.rfind("--trace", 0) == 0 ||
                arg.rfind("--threads", 0) == 0 ||
-               arg.rfind("--shards", 0) == 0 ||
                arg.rfind("--workers", 0) == 0 ||
                arg.rfind("--deadline-ms", 0) == 0 ||
                arg.rfind("--max-answers", 0) == 0 ||
@@ -953,7 +801,8 @@ int main(int argc, char** argv) {
     } else if (command == "topk" || explain_command) {
       int k = 10;
       if (args.size() >= 4 && !ParseCountArg("k", args[3], &k)) return Usage();
-      code = RunTopK(args[1], args[2], k, &exec, &out);
+      code = RunAnswers(args[1], args[2], query::AnswerMode::kRanked, k,
+                        &exec, &out);
     } else if (command == "batch") {
       int k = 0;
       if (!ParseCountArg("k", args[2], &k)) return Usage();
@@ -974,7 +823,8 @@ int main(int argc, char** argv) {
       if (args.size() >= 4 && !ParseCountArg("limit", args[3], &limit)) {
         return Usage();
       }
-      code = RunEnum(args[1], args[2], limit, &exec, &out);
+      code = RunAnswers(args[1], args[2], query::AnswerMode::kEnum, limit,
+                        &exec, &out);
     } else {
       return Usage();
     }
