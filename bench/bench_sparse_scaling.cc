@@ -72,7 +72,8 @@ bool SameEvidence(const std::optional<query::Evidence>& a,
   return a->world == b->world && a->output == b->output && a->prob == b->prob;
 }
 
-void PrintScalingTable() {
+// Returns whether every σ×n row gave identical answers on all backends.
+bool PrintScalingTable() {
   bench::PrintHeader(
       "Sparse kernel scaling: E_max Viterbi forward on ~5%-dense models",
       "same instance solved on the dense, sparse, and auto backends; the "
@@ -81,6 +82,7 @@ void PrintScalingTable() {
   std::printf("%-7s %-7s %-12s %-12s %-12s %-9s %-10s %-6s\n", "sigma", "n",
               "dense (ms)", "sparse (ms)", "auto (ms)", "speedup", "auto",
               "same?");
+  bool all_identical = true;
   for (int sigma : {64, 256, 1024}) {
     for (int n : {1024, 4096}) {
       Instance inst = MakeInstance(sigma, n, 97);
@@ -107,8 +109,10 @@ void PrintScalingTable() {
       bench::Report::Global().AddMetric(prefix + "speedup", speedup);
       bench::Report::Global().AddMetric(prefix + "identical",
                                         same ? 1.0 : 0.0);
+      all_identical = all_identical && same;
     }
   }
+  return all_identical;
 }
 
 void BM_SparseForward(benchmark::State& state) {
@@ -131,10 +135,12 @@ BENCHMARK(BM_SparseForward)
 }  // namespace
 }  // namespace tms
 
+// A backend that changes an answer fails the binary, so a broken
+// dense/sparse identity can never pass as a timing.
 int main(int argc, char** argv) {
   tms::bench::Session session("sparse_scaling");
-  tms::PrintScalingTable();
+  const bool identical = tms::PrintScalingTable();
   benchmark::Initialize(&argc, argv);
   benchmark::RunSpecifiedBenchmarks();
-  return 0;
+  return identical ? 0 : 1;
 }

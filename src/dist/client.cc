@@ -8,8 +8,10 @@
 #include <algorithm>
 #include <cctype>
 #include <cerrno>
+#include <charconv>
 #include <cstdlib>
 #include <cstring>
+#include <system_error>
 #include <utility>
 
 #include "obs/obs.h"
@@ -113,11 +115,23 @@ bool FindNumberField(std::string_view line, std::string_view name,
   return true;
 }
 
+/// Finds `"name":<digits>` and parses the digits into an int64_t exactly.
+/// A fraction, an exponent or a count outside int64_t is not an integer
+/// field, so it reads as missing.
 bool FindIntField(std::string_view line, std::string_view name,
                   int64_t* out) {
-  double value;
-  if (!FindNumberField(line, name, &value)) return false;
-  *out = static_cast<int64_t>(value);
+  const std::string marker = FieldMarker(name, "\":");
+  const size_t at = line.find(marker);
+  if (at == std::string_view::npos) return false;
+  const char* first = line.data() + at + marker.size();
+  const char* last = line.data() + line.size();
+  int64_t value = 0;
+  const std::from_chars_result parsed = std::from_chars(first, last, value);
+  if (parsed.ec != std::errc() ||
+      (parsed.ptr != last && *parsed.ptr != ',' && *parsed.ptr != '}')) {
+    return false;
+  }
+  *out = value;
   return true;
 }
 

@@ -38,9 +38,11 @@
 //                per-j contributions arrive in ascending i — the dense
 //                GemvT / ref order; rounding semirings match bit-for-bit
 //                when the skipped entries are exact zeros.
-//   SpGemm:      C(i,·) = ⊕_k A(i,k) ⊗ B(k,·)     row-broadcast; feeding
-//                the CSR *transpose* of a step matrix makes this exactly
-//                the dense GemmTN layer step (ascending k per cell).
+//   SpGemm:      C(i,·) = ⊕_k A(i,k) ⊗ B(k,·)     register-held row
+//                blocks (8 columns, then a 1–7-wide remainder) filled in
+//                ascending k; feeding the CSR *transpose* of a step
+//                matrix makes this exactly the dense GemmTN layer step
+//                (ascending k per cell).
 //   SpRowReduce: y[i]   = ⊕_j A(i,j)              over stored entries
 //
 // The fused max-plus argmax variant reports the smallest maximizing
@@ -241,12 +243,47 @@ void SpGemvT(const CsrView<typename SR::Value>& A,
   internal::CountSpGemv(A.nnz);
 }
 
-/// C(i,·) = ⊕ over row i of A(i,k) ⊗ B(k,·). Row-broadcast: each stored
-/// entry streams one contiguous B row into the contiguous C row, so the
-/// inner loop is unit-stride and vectorizes; per-cell contributions
-/// arrive in ascending k. With A = the CSR transpose of a step matrix
-/// this computes the dense GemmTN layer transition over only the stored
-/// (nonzero / finite) entries.
+namespace internal {
+
+/// Columns [0, W) of every row of C (row stride n) from the matching
+/// columns of B (row stride n): one W-wide register block per output
+/// row, filled by one pass over the row's stored entries in ascending
+/// order, then stored once.
+template <typename SR, size_t W>
+void SpGemmPanel(const CsrView<typename SR::Value>& A,
+                 const typename SR::Value* TMS_RESTRICT b, size_t n,
+                 typename SR::Value* TMS_RESTRICT c) {
+  using V = typename SR::Value;
+  const int32_t* TMS_RESTRICT off = A.row_off;
+  const int32_t* TMS_RESTRICT col = A.col_idx;
+  const V* TMS_RESTRICT av = A.val;
+  for (size_t i = 0; i < A.rows; ++i) {
+    V acc[W];
+    for (size_t j = 0; j < W; ++j) acc[j] = SR::Zero();
+    for (int32_t e = off[i]; e < off[i + 1]; ++e) {
+      const V a = av[e];
+      const V* TMS_RESTRICT brow = b + static_cast<size_t>(col[e]) * n;
+      for (size_t j = 0; j < W; ++j) {
+        acc[j] = SR::Plus(acc[j], SR::Times(a, brow[j]));
+      }
+    }
+    V* TMS_RESTRICT crow = c + i * n;
+    for (size_t j = 0; j < W; ++j) crow[j] = acc[j];
+  }
+}
+
+}  // namespace internal
+
+/// C(i,·) = ⊕ over row i of A(i,k) ⊗ B(k,·). Each output row is built
+/// in registers, 8 columns at a time plus one 1–7-wide remainder block:
+/// a stored entry loads its B row segment and folds it into the block,
+/// and C is written once per block, so the loop costs one ⊕ latency per
+/// stored entry rather than a load-modify-store of every C cell. Every
+/// cell still sees its contributions in ascending k (the ref:: order),
+/// so the result is bit-identical to ref::SpGemm for every semiring.
+/// With A = the CSR transpose of a step matrix this computes the dense
+/// GemmTN layer transition over only the stored (nonzero / finite)
+/// entries.
 template <typename SR>
 void SpGemm(const CsrView<typename SR::Value>& A,
             const Matrix<typename SR::Value>& B,
@@ -255,19 +292,21 @@ void SpGemm(const CsrView<typename SR::Value>& A,
   TMS_DCHECK(A.cols == B.rows() && A.rows == C->rows() &&
              B.cols() == C->cols());
   const size_t n = B.cols();
-  const int32_t* TMS_RESTRICT off = A.row_off;
-  const int32_t* TMS_RESTRICT col = A.col_idx;
-  const V* TMS_RESTRICT av = A.val;
-  for (size_t i = 0; i < A.rows; ++i) {
-    V* TMS_RESTRICT crow = C->row(i);
-    for (size_t j = 0; j < n; ++j) crow[j] = SR::Zero();
-    for (int32_t e = off[i]; e < off[i + 1]; ++e) {
-      const V a = av[e];
-      const V* TMS_RESTRICT brow = B.row(col[e]);
-      for (size_t j = 0; j < n; ++j) {
-        crow[j] = SR::Plus(crow[j], SR::Times(a, brow[j]));
-      }
-    }
+  const V* b = B.data();
+  V* c = C->data();
+  size_t j0 = 0;
+  for (; j0 + 8 <= n; j0 += 8) {
+    internal::SpGemmPanel<SR, 8>(A, b + j0, n, c + j0);
+  }
+  switch (n - j0) {
+    case 1: internal::SpGemmPanel<SR, 1>(A, b + j0, n, c + j0); break;
+    case 2: internal::SpGemmPanel<SR, 2>(A, b + j0, n, c + j0); break;
+    case 3: internal::SpGemmPanel<SR, 3>(A, b + j0, n, c + j0); break;
+    case 4: internal::SpGemmPanel<SR, 4>(A, b + j0, n, c + j0); break;
+    case 5: internal::SpGemmPanel<SR, 5>(A, b + j0, n, c + j0); break;
+    case 6: internal::SpGemmPanel<SR, 6>(A, b + j0, n, c + j0); break;
+    case 7: internal::SpGemmPanel<SR, 7>(A, b + j0, n, c + j0); break;
+    default: break;
   }
   internal::CountSpGemm(A.nnz * n);
 }

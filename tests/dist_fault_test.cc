@@ -2,14 +2,24 @@
 // + docs/ROBUSTNESS.md): a shard that dies before evaluating
 // (`dist.pre_shard`) or mid-stream (`dist.mid_stream`) contributes a clean
 // prefix, the survivors' rows keep their exact global order, and the
-// coverage vector reports precisely what was lost. Plus the
-// TMS_FAULT_INJECT spec parser (exec::FaultInjector::ArmFromSpec) that
-// tools/dist_smoke.sh drives end to end.
+// coverage vector reports precisely what was lost. Plus the coordinator's
+// reading of a worker footer's counts, and the TMS_FAULT_INJECT spec
+// parser (exec::FaultInjector::ArmFromSpec) that tools/dist_smoke.sh
+// drives end to end.
+
+#include <arpa/inet.h>
+#include <netinet/in.h>
+#include <sys/socket.h>
+#include <unistd.h>
 
 #include <algorithm>
 #include <cstdint>
+#include <cstdio>
+#include <cstdlib>
 #include <memory>
 #include <string>
+#include <thread>
+#include <utility>
 #include <vector>
 
 #include "common/rng.h"
@@ -198,6 +208,128 @@ TEST_F(DistFaultTest, BornFailedRemoteSourceIsAnEmptyCleanPrefix) {
   EXPECT_EQ(coverage.shard_id, 7);
   EXPECT_TRUE(coverage.failed);
   EXPECT_FALSE(coverage.status.ok());
+}
+
+// ---------------------------------------------------------------------------
+// Footer counts on the wire.
+
+// A one-shot worker on loopback: accepts one connection, reads the request
+// (head and Content-Length body), answers with `response` and closes.
+class CannedWorker {
+ public:
+  explicit CannedWorker(std::string response)
+      : response_(std::move(response)) {
+    fd_ = ::socket(AF_INET, SOCK_STREAM, 0);
+    sockaddr_in addr{};
+    addr.sin_family = AF_INET;
+    addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+    addr.sin_port = 0;
+    socklen_t len = sizeof(addr);
+    if (fd_ < 0 ||
+        ::bind(fd_, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) != 0 ||
+        ::listen(fd_, 1) != 0 ||
+        ::getsockname(fd_, reinterpret_cast<sockaddr*>(&addr), &len) != 0) {
+      return;
+    }
+    port_ = ntohs(addr.sin_port);
+    thread_ = std::thread([this] { Serve(); });
+  }
+
+  CannedWorker(const CannedWorker&) = delete;
+  CannedWorker& operator=(const CannedWorker&) = delete;
+
+  ~CannedWorker() {
+    // Wakes a Serve() still blocked in accept() (no client ever came).
+    if (fd_ >= 0) ::shutdown(fd_, SHUT_RDWR);
+    if (thread_.joinable()) thread_.join();
+    if (fd_ >= 0) ::close(fd_);
+  }
+
+  int port() const { return port_; }
+
+ private:
+  void Serve() {
+    const int conn = ::accept(fd_, nullptr, nullptr);
+    if (conn < 0) return;
+    std::string request;
+    char buf[4096];
+    size_t head_end = std::string::npos;
+    size_t want = 0;
+    while (head_end == std::string::npos || request.size() < want) {
+      const ssize_t n = ::recv(conn, buf, sizeof(buf), 0);
+      if (n <= 0) break;
+      request.append(buf, static_cast<size_t>(n));
+      if (head_end == std::string::npos) {
+        head_end = request.find("\r\n\r\n");
+        if (head_end == std::string::npos) continue;
+        const size_t cl = request.find("Content-Length: ");
+        want = head_end + 4 +
+               (cl == std::string::npos
+                    ? 0
+                    : std::strtoul(request.c_str() + cl + 16, nullptr, 10));
+      }
+    }
+    size_t sent = 0;
+    while (sent < response_.size()) {
+      const ssize_t n = ::send(conn, response_.data() + sent,
+                               response_.size() - sent, MSG_NOSIGNAL);
+      if (n <= 0) break;
+      sent += static_cast<size_t>(n);
+    }
+    ::shutdown(conn, SHUT_WR);
+    ::close(conn);
+  }
+
+  std::string response_;
+  int fd_ = -1;
+  int port_ = 0;
+  std::thread thread_;
+};
+
+std::string Chunk(const std::string& data) {
+  char size[16];
+  std::snprintf(size, sizeof(size), "%zx\r\n", data.size());
+  return size + data + "\r\n";
+}
+
+// Streams one row and a footer carrying `sequences` (verbatim JSON) from a
+// canned /batch response through a RemoteShardSource; returns its coverage.
+dist::ShardCoverage CoverageFromFooter(const std::string& sequences) {
+  const std::string footer =
+      "{\"done\":true,\"shard\":0,\"coverage\":{\"sequences\":" + sequences +
+      ",\"failed_sequences\":0,\"truncated\":false,\"reason\":\"NONE\"}}\n";
+  CannedWorker worker(
+      "HTTP/1.1 200 OK\r\nContent-Type: application/x-ndjson\r\n"
+      "Transfer-Encoding: chunked\r\n\r\n" +
+      Chunk("{\"key\":\"seq0\",\"answer\":\"n0\",\"emax\":0.5,"
+            "\"confidence\":0.5}\n") +
+      Chunk(footer) + "0\r\n\r\n");
+  EXPECT_NE(worker.port(), 0);
+  dist::WorkerAddress address{"127.0.0.1", worker.port()};
+  dist::RemoteShardSource source(
+      0, dist::HttpStream::Post(address, "/batch?k=1", "query",
+                                dist::HttpStream::Options()));
+  int rows = 0;
+  while (source.Next().has_value()) ++rows;
+  EXPECT_EQ(rows, 1);
+  return source.Coverage();
+}
+
+TEST(RemoteShardSourceTest, FooterCountsAreExactIntegersOrMissing) {
+  // 2^53 + 1 has no double; it must come back exactly.
+  dist::ShardCoverage exact = CoverageFromFooter("9007199254740993");
+  EXPECT_FALSE(exact.failed) << exact.status.ToString();
+  EXPECT_EQ(exact.sequences, INT64_C(9007199254740993));
+  EXPECT_EQ(exact.failed_sequences, 0);
+
+  // An exponent and an int64_t overflow are no count: the field reads as
+  // missing and the coverage keeps its default.
+  for (const std::string bad : {"1e300", "99999999999999999999"}) {
+    SCOPED_TRACE(bad);
+    dist::ShardCoverage coverage = CoverageFromFooter(bad);
+    EXPECT_FALSE(coverage.failed) << coverage.status.ToString();
+    EXPECT_EQ(coverage.sequences, 0);
+  }
 }
 
 // ---------------------------------------------------------------------------

@@ -22,6 +22,7 @@
 #include <cstring>
 #include <iterator>
 #include <limits>
+#include <string>
 #include <vector>
 
 #include "common/rng.h"
@@ -71,18 +72,20 @@ uint8_t RandomValue<BoolOr>(Rng& rng) {
 }
 
 // Owning random CSR matrix: each row holds a random ascending subset of
-// the columns (expected fill ~40%, sometimes an empty row), values drawn
-// from the semiring's distribution.
+// the columns (expected fill ~40%, sometimes an empty row; row 0 always
+// when `first_row_empty`), values drawn from the semiring's distribution.
 template <typename SR>
 struct RandomCsr {
   std::vector<int32_t> off, idx;
   std::vector<typename SR::Value> val;
   size_t rows, cols;
 
-  RandomCsr(Rng& rng, size_t r, size_t c) : rows(r), cols(c) {
+  RandomCsr(Rng& rng, size_t r, size_t c, bool first_row_empty = false)
+      : rows(r), cols(c) {
     off.push_back(0);
     for (size_t i = 0; i < rows; ++i) {
-      const bool empty_row = rng.UniformInt(0, 7) == 0;
+      const bool empty_row =
+          rng.UniformInt(0, 7) == 0 || (first_row_empty && i == 0);
       for (size_t j = 0; j < cols && !empty_row; ++j) {
         if (rng.UniformInt(0, 9) < 4) {
           idx.push_back(static_cast<int32_t>(j));
@@ -185,6 +188,38 @@ TEST(SparseKernels, ProductionMatchesRefBitwise) {
     CheckProductionVsRef<LogSumExp>(rng);
     CheckProductionVsRef<Real>(rng);
     CheckProductionVsRef<BoolOr>(rng);
+  }
+}
+
+// SpGemm keeps each output row in 8-wide register blocks plus one
+// 1–7-wide remainder block. Widths 0..17 cover every remainder with no
+// full block, with one and with two full blocks, and a row with no
+// stored entry must come out as Zero in every block.
+template <typename SR>
+void CheckSpGemmEveryWidth(Rng& rng) {
+  using V = typename SR::Value;
+  for (size_t n = 0; n <= 17; ++n) {
+    SCOPED_TRACE("width " + std::to_string(n));
+    RandomCsr<SR> A(rng, 12, 19, /*first_row_empty=*/true);
+    std::vector<V> b(A.cols * n), c1(A.rows * n), c2(A.rows * n);
+    for (auto& v : b) v = RandomValue<SR>(rng);
+    Matrix<V> bm(b.data(), A.cols, n);
+    Matrix<V> c1m(c1.data(), A.rows, n), c2m(c2.data(), A.rows, n);
+    SpGemm<SR>(A.View(), bm, &c1m);
+    ref::SpGemm<SR>(A.View(), bm, &c2m);
+    ExpectBitEqual(c1, c2);
+  }
+}
+
+TEST(SparseKernels, SpGemmMatchesRefAtEveryWidth) {
+  uint64_t seed = testing::TestSeed(20261017);
+  Rng rng(seed);
+  SCOPED_TRACE(testing::SeedTrace(seed));
+  for (int iter = 0; iter < 4; ++iter) {
+    CheckSpGemmEveryWidth<MaxPlus>(rng);
+    CheckSpGemmEveryWidth<LogSumExp>(rng);
+    CheckSpGemmEveryWidth<Real>(rng);
+    CheckSpGemmEveryWidth<BoolOr>(rng);
   }
 }
 
