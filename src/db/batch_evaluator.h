@@ -25,7 +25,6 @@
 #include "exec/run_context.h"
 #include "kernels/backend.h"
 #include "exec/thread_pool.h"
-#include "optimize/level.h"
 #include "transducer/composition_cache.h"
 #include "transducer/transducer.h"
 
@@ -56,11 +55,6 @@ class BatchEvaluator {
     /// Kernel path of every per-sequence DP (kernels/backend.h). Results
     /// are byte-identical either way; auto picks per sequence density.
     kernels::BackendChoice backend = kernels::BackendChoice::kAuto;
-    /// Offline optimization level for every per-sequence engine
-    /// (optimize/transducer_opt.h). The shared composition cache keys
-    /// optimized and unoptimized products separately, so mixed batches
-    /// stay correct; answer streams are identical at every level.
-    optimize::Level optimize = optimize::Level::kAuto;
   };
 
   /// Outcome of one sequence in an EvaluateAll batch.

@@ -163,10 +163,12 @@ StatusOr<std::vector<WorkerAddress>> ParseWorkerList(std::string_view csv) {
     w.host = std::string(item.substr(0, colon));
     for (char c : item.substr(colon + 1)) {
       if (c < '0' || c > '9') {
-        return Status::InvalidArgument("bad worker port in '" +
-                                       std::string(item) + "'");
+        w.port = -1;
+        break;
       }
       w.port = w.port * 10 + (c - '0');
+      // Stop once out of range, before another digit can overflow the int.
+      if (w.port > 65535) break;
     }
     if (w.port <= 0 || w.port > 65535) {
       return Status::InvalidArgument("bad worker port in '" +

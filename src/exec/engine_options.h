@@ -17,7 +17,6 @@
 #define TMS_EXEC_ENGINE_OPTIONS_H_
 
 #include "kernels/backend.h"
-#include "optimize/level.h"
 
 namespace tms::transducer {
 class CompositionCache;
@@ -52,13 +51,6 @@ struct EngineOptions {
   /// transition density; dense and sparse produce byte-identical answer
   /// streams either way, so this is a performance knob only.
   kernels::BackendChoice backend = kernels::BackendChoice::kAuto;
-
-  /// Offline optimization of the query transducer and the composed
-  /// products (optimize/transducer_opt.h). The engine path runs only the
-  /// stream-byte-exact prune, so — like `backend` — this is a performance
-  /// knob: answer streams are identical at every level. kAuto lets the
-  /// engine decide per query (see optimize::ShouldOptimize).
-  optimize::Level optimize = optimize::Level::kAuto;
 };
 
 }  // namespace tms::exec

@@ -310,18 +310,6 @@ Transducer MinimizeTransducer(const Transducer& t, OptimizeStats* stats) {
   return out;
 }
 
-bool ShouldOptimize(Level level, const Transducer& t) {
-  switch (level) {
-    case Level::kOff:
-      return false;
-    case Level::kOn:
-      return true;
-    case Level::kAuto:
-      return t.num_states() >= 2;
-  }
-  return false;
-}
-
 void RecordPrunePass(const OptimizeStats& stats, int64_t elapsed_ns) {
   RecordPass(stats, elapsed_ns);
 }

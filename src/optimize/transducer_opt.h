@@ -1,10 +1,11 @@
-// The offline optimization passes over query transducers, and the policy
-// deciding when engines run them. Two tiers with different contracts:
+// The offline optimization passes over query transducers. Two tiers with
+// different contracts:
 //
 //  * PruneTransducer — drops states that are unreachable from the initial
 //    state or cannot reach an accepting state, plus every edge into a
-//    dropped state, and renumbers the survivors MONOTONICALLY. This is the
-//    pass behind exec::EngineOptions::optimize, because it is provably
+//    dropped state, and renumbers the survivors MONOTONICALLY. Every
+//    engine path runs this pass (on the query and, fused, on each composed
+//    product; transducer/composition_cache.h), because it is provably
 //    byte-exact for the ranked streams: removed accepting cells never hold
 //    a finite forward value, kept cells keep their exact values, and the
 //    monotone renumbering preserves the ascending (s, q) order of the
@@ -17,8 +18,8 @@
 //    transduction relation — the answer SET and every answer's score —
 //    but merging may reorder the backtrack scan among EXACTLY tied
 //    scores, so it is reserved for the offline artifact path
-//    (`tms_cli optimize`, serve/registry precompile) and never enabled by
-//    the in-engine knob. See docs/OPTIMIZE.md for the invariant table.
+//    (`tms_cli optimize`, serve/registry precompile) and never run by the
+//    engines. See docs/OPTIMIZE.md for the invariant table.
 //
 // Both passes are deterministic (stable smallest-member renumbering) and
 // record the optimize.* metrics — including zero deltas, so the stats-key
@@ -27,7 +28,6 @@
 #ifndef TMS_OPTIMIZE_TRANSDUCER_OPT_H_
 #define TMS_OPTIMIZE_TRANSDUCER_OPT_H_
 
-#include "optimize/level.h"
 #include "transducer/transducer.h"
 
 namespace tms::optimize {
@@ -54,11 +54,6 @@ transducer::Transducer PruneTransducer(const transducer::Transducer& t,
 /// order among exactly tied scores. Idempotent.
 transducer::Transducer MinimizeTransducer(const transducer::Transducer& t,
                                           OptimizeStats* stats = nullptr);
-
-/// The engine policy for `level` on `t`: kOff never, kOn always, kAuto
-/// optimizes anything non-trivial (>= 2 states — a 1-state machine has
-/// nothing to prune and the pass would only cost a copy).
-bool ShouldOptimize(Level level, const transducer::Transducer& t);
 
 /// Records the optimize.* metrics for one prune-equivalent pass executed
 /// OUTSIDE this module — the fused prune-during-specialization of

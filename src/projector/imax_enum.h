@@ -50,9 +50,7 @@ class ImaxEnumerator : public ranking::AnswerStream {
   /// (deadline / answer cap / work budget / cancellation; see
   /// exec/run_context.h) — a truncated stream is an exact prefix of the
   /// unbounded one. The s-projector DP walks the indexed DAG rather than
-  /// transition matrices, so `backend` has no effect here; `optimize` is
-  /// likewise ignored — this engine composes no product automaton, so
-  /// there is nothing for the pass to prune (optimize/transducer_opt.h).
+  /// transition matrices, so `backend` has no effect here.
   static StatusOr<ImaxEnumerator> Create(
       const markov::MarkovSequence* mu, const SProjector* p,
       const exec::EngineOptions& options = {});

@@ -4,33 +4,30 @@
 
 #include "common/stopwatch.h"
 #include "obs/obs.h"
-#include "optimize/transducer_opt.h"
 #include "query/emax.h"
 
 namespace tms::query {
 
 // Everything the subspace solver touches. The solver lambda holds this via
 // shared_ptr, so it stays valid however the enumerator is moved; with
-// owned inputs it also pins the Markov sequence and transducer themselves
-// (the pre-State solver captured the constructor arguments by reference
-// and dangled as soon as a caller passed temporaries).
+// owned inputs it also pins the Markov sequence itself (the pre-State
+// solver captured the constructor arguments by reference and dangled as
+// soon as a caller passed temporaries). The transducer needs no pin: the
+// composition cache keeps its own pruned copy.
 struct EmaxEnumerator::State {
-  // Set only by WithOwnedInputs; `mu` / `t` point here in that case.
+  // Set only by WithOwnedInputs; `mu` points here in that case.
   std::optional<markov::MarkovSequence> owned_mu;
-  std::optional<transducer::Transducer> owned_t;
 
   const markov::MarkovSequence* mu = nullptr;
-  const transducer::Transducer* t = nullptr;
 
-  // Built after mu/t are fixed (Init).
+  // Built after mu is fixed (Init).
   std::optional<EmaxContext> ctx;
   std::optional<transducer::CompositionCache> owned_cache;
   transducer::CompositionCache* cache = nullptr;
-  bool optimized = false;
 
-  void Init(const exec::EngineOptions& options) {
+  void Init(const transducer::Transducer& t,
+            const exec::EngineOptions& options) {
     ctx.emplace(*mu, options.backend);
-    optimized = optimize::ShouldOptimize(options.optimize, *t);
     if (options.cache != nullptr) {
       cache = options.cache;
     } else {
@@ -50,7 +47,7 @@ EmaxEnumerator::EmaxEnumerator(std::shared_ptr<State> state,
         TMS_OBS_SPAN("query.emax_enum.subspace_solve");
         Stopwatch sw;
         std::shared_ptr<const transducer::Transducer> composed =
-            s->cache->Compose(c, s->optimized);
+            s->cache->Compose(c);
         TMS_OBS_HISTOGRAM("query.emax_enum.compose_ns", sw.Lap());
         TMS_OBS_HISTOGRAM("query.emax_enum.composed_states",
                           composed->num_states());
@@ -69,8 +66,7 @@ EmaxEnumerator::EmaxEnumerator(const markov::MarkovSequence& mu,
           [&mu, &t, &options] {
             auto state = std::make_shared<State>();
             state->mu = &mu;
-            state->t = &t;
-            state->Init(options);
+            state->Init(t, options);
             return state;
           }(),
           options) {}
@@ -80,10 +76,8 @@ EmaxEnumerator EmaxEnumerator::WithOwnedInputs(
     const exec::EngineOptions& options) {
   auto state = std::make_shared<State>();
   state->owned_mu.emplace(std::move(mu));
-  state->owned_t.emplace(std::move(t));
   state->mu = &*state->owned_mu;
-  state->t = &*state->owned_t;
-  state->Init(options);
+  state->Init(t, options);
   return EmaxEnumerator(std::move(state), options);
 }
 

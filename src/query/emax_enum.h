@@ -1,12 +1,13 @@
 // Ranked enumeration by decreasing E_max — Theorem 4.3.
 //
 // Lawler–Murty over output-prefix constraints: each subspace is solved by
-// composing the transducer with the constraint DFA (memoized by
-// transducer/composition_cache.h) and running the Viterbi of query/emax.h
-// on the composed machine. Emits answers in exactly nonincreasing E_max
-// with polynomial delay; as an ordering by *confidence* this is a
-// |Σ|^n-approximation (the paper shows no sub-exponential ratio is
-// tractable, Theorem 4.4 — so this heuristic is worst-case optimal).
+// composing the pruned transducer with the constraint DFA, pruning the
+// product (both memoized by transducer/composition_cache.h), and running
+// the Viterbi of query/emax.h on the result. Emits answers in exactly
+// nonincreasing E_max with polynomial delay; as an ordering by
+// *confidence* this is a |Σ|^n-approximation (the paper shows no
+// sub-exponential ratio is tractable, Theorem 4.4 — so this heuristic is
+// worst-case optimal).
 
 #ifndef TMS_QUERY_EMAX_ENUM_H_
 #define TMS_QUERY_EMAX_ENUM_H_

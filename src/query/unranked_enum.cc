@@ -11,17 +11,15 @@ namespace tms::query {
 UnrankedEnumerator::UnrankedEnumerator(const markov::MarkovSequence& mu,
                                        const transducer::Transducer& t,
                                        const exec::EngineOptions& options)
-    : mu_(&mu), t_(&t), run_(options.run), backend_(options.backend) {
-  if (optimize::ShouldOptimize(options.optimize, t)) {
-    // The prune preserves the transduction relation, so every oracle
-    // verdict — and therefore the emitted stream — is unchanged; the
-    // oracle just runs on fewer states.
-    opt_t_ = std::make_shared<const transducer::Transducer>(
-        optimize::PruneTransducer(t));
-    t_ = opt_t_.get();
-  }
+    : mu_(&mu),
+      // The prune preserves the transduction relation, so every oracle
+      // verdict — and therefore the emitted stream — is unchanged; the
+      // oracle just runs on fewer states.
+      t_(optimize::PruneTransducer(t)),
+      run_(options.run),
+      backend_(options.backend) {
   max_output_len_ = static_cast<size_t>(mu.length()) *
-                    static_cast<size_t>(t_->MaxEmissionLength());
+                    static_cast<size_t>(t_.MaxEmissionLength());
 }
 
 UnrankedEnumerator UnrankedEnumerator::WithOwnedInputs(
@@ -29,10 +27,8 @@ UnrankedEnumerator UnrankedEnumerator::WithOwnedInputs(
     const exec::EngineOptions& options) {
   auto owned_mu =
       std::make_shared<const markov::MarkovSequence>(std::move(mu));
-  auto owned_t = std::make_shared<const transducer::Transducer>(std::move(t));
-  UnrankedEnumerator out(*owned_mu, *owned_t, options);
+  UnrankedEnumerator out(*owned_mu, t, options);
   out.owned_mu_ = std::move(owned_mu);
-  out.owned_t_ = std::move(owned_t);
   return out;
 }
 
@@ -55,7 +51,7 @@ std::optional<ranking::ScoredAnswer> UnrankedEnumerator::Next() {
   // Answer boundary: once any limit fires the stream is over for good,
   // leaving an exact prefix of the unbounded enumeration.
   if (run_ != nullptr && !run_->BeforeAnswer()) return std::nullopt;
-  const size_t delta = t_->output_alphabet().size();
+  const size_t delta = t_.output_alphabet().size();
   const int64_t calls_before = oracle_calls_;
   (void)calls_before;  // only read by instrumentation
   // Timed oracle wrappers: `query.unranked_enum.oracle_ns` is this
@@ -64,7 +60,7 @@ std::optional<ranking::ScoredAnswer> UnrankedEnumerator::Next() {
 #if TMS_OBS_ACTIVE
     const int64_t oracle_start_ns = obs::MonotonicNanos();
 #endif
-    bool r = HasAnswerWithPrefix(*mu_, *t_, p, backend_);
+    bool r = HasAnswerWithPrefix(*mu_, t_, p, backend_);
     TMS_OBS_HISTOGRAM("query.unranked_enum.oracle_ns",
                       obs::MonotonicNanos() - oracle_start_ns);
     return r;
@@ -73,7 +69,7 @@ std::optional<ranking::ScoredAnswer> UnrankedEnumerator::Next() {
 #if TMS_OBS_ACTIVE
     const int64_t oracle_start_ns = obs::MonotonicNanos();
 #endif
-    bool r = IsPossibleAnswer(*mu_, *t_, p, backend_);
+    bool r = IsPossibleAnswer(*mu_, t_, p, backend_);
     TMS_OBS_HISTOGRAM("query.unranked_enum.oracle_ns",
                       obs::MonotonicNanos() - oracle_start_ns);
     return r;

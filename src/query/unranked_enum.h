@@ -42,11 +42,10 @@ namespace tms::query {
 /// (docs/ROBUSTNESS.md). A stopped run returns nullopt forever after; the
 /// answers already emitted are an exact prefix of the unbounded stream.
 /// `backend` selects the kernel path of the membership oracle (identical
-/// verdicts either way, see query/membership.h). `optimize` (at its
-/// engine-policy discretion) swaps in the pruned transducer for every
-/// oracle call — the prune preserves the transduction relation exactly,
-/// so the lexicographic answer stream is identical; only oracle cost
-/// changes (optimize/transducer_opt.h).
+/// verdicts either way, see query/membership.h). Every oracle call runs
+/// on the pruned transducer (optimize/transducer_opt.h): the prune
+/// preserves the transduction relation exactly, so the lexicographic
+/// answer stream is that of the transducer as given.
 class UnrankedEnumerator : public ranking::AnswerStream {
  public:
   UnrankedEnumerator(const markov::MarkovSequence& mu,
@@ -72,16 +71,13 @@ class UnrankedEnumerator : public ranking::AnswerStream {
   // also the home of the per-oracle-call budget charge.
   bool StopBeforeOracleCall();
 
-  // Set only by WithOwnedInputs; mu_/t_ point into them then. shared_ptr
-  // so moving the enumerator cannot relocate the pointees.
+  // Set only by WithOwnedInputs; mu_ points into it then. shared_ptr so
+  // moving the enumerator cannot relocate the pointee.
   std::shared_ptr<const markov::MarkovSequence> owned_mu_;
-  std::shared_ptr<const transducer::Transducer> owned_t_;
-  // The pruned copy when the optimize knob fires; t_ points here then
-  // (kept separate from owned_t_ so WithOwnedInputs can pin the caller's
-  // original without dropping the pruned machine).
-  std::shared_ptr<const transducer::Transducer> opt_t_;
   const markov::MarkovSequence* mu_;
-  const transducer::Transducer* t_;
+  // The pruned copy of the query; the caller's transducer is only read
+  // during construction.
+  transducer::Transducer t_;
   exec::RunContext* run_;
   kernels::BackendChoice backend_;
   Str prefix_;

@@ -44,8 +44,7 @@ const markov::MarkovSequence* ModelRegistry::Find(
 
 Status ModelRegistry::Precompile(const std::string& model,
                                  const std::string& name,
-                                 const std::string& query_path,
-                                 optimize::Level level) {
+                                 const std::string& query_path) {
   const std::string context =
       "precompile '" + model + ":" + name + "' (" + query_path + "): ";
   const markov::MarkovSequence* mu = Find(model);
@@ -61,9 +60,6 @@ Status ModelRegistry::Precompile(const std::string& model,
   if (!(mu->nodes() == parsed->input_alphabet())) {
     return Status::InvalidArgument(
         context + "query input alphabet does not match the model alphabet");
-  }
-  if (!optimize::ShouldOptimize(level, *parsed)) {
-    return InsertPrecompiled(model, name, std::move(*parsed));
   }
   // Cold-start fast path: a fingerprint-valid persisted artifact is the
   // optimized transducer; anything else (missing, stale, corrupted) falls

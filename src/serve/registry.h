@@ -9,9 +9,9 @@
 // concurrent request threads read it without locks.
 //
 // Alongside the models the registry can hold PRECOMPILED queries:
-// transducers optimized offline (optimize/transducer_opt.h) at startup and
+// transducers minimized offline (optimize/transducer_opt.h) at startup and
 // served by name via `precompiled=<name>` with an empty request body, so
-// hot queries skip both the body parse and the optimization pass. The
+// hot queries skip both the body parse and the minimization pass. The
 // precompile step persists its result as a fingerprinted artifact next to
 // the query file (optimize/artifact.h) and loads it back on later cold
 // starts; a corrupted or stale artifact is rejected loudly
@@ -28,7 +28,6 @@
 
 #include "common/status.h"
 #include "markov/markov_sequence.h"
-#include "optimize/level.h"
 #include "transducer/transducer.h"
 
 namespace tms::serve {
@@ -56,15 +55,13 @@ class ModelRegistry {
   /// (which must already be registered and share the query's input
   /// alphabet) and registers it under `(model, name)`.
   ///
-  /// With `level` kOff the query is registered as parsed — no pass, no
-  /// artifact. Otherwise the artifact `<query_path>.opt` is tried first
-  /// (fingerprint-validated against the parsed query); on NotFound or
-  /// rejection the query is optimized on the fly with
-  /// optimize::MinimizeTransducer and the artifact is rewritten
-  /// best-effort (a read-only query directory only costs the persistence,
-  /// not the precompile).
+  /// The artifact `<query_path>.opt` is tried first (fingerprint-validated
+  /// against the parsed query); on NotFound or rejection the query is
+  /// minimized on the fly with optimize::MinimizeTransducer and the
+  /// artifact is rewritten best-effort (a read-only query directory only
+  /// costs the persistence, not the precompile).
   Status Precompile(const std::string& model, const std::string& name,
-                    const std::string& query_path, optimize::Level level);
+                    const std::string& query_path);
 
   /// Registers an in-memory precompiled query (tests; programmatic
   /// embedding). Same name rules as Insert, scoped per model.

@@ -57,7 +57,6 @@ struct QueryParams {
   int64_t budget = -1;
   bool enum_mode = false;
   kernels::BackendChoice backend = kernels::BackendChoice::kAuto;
-  optimize::Level optimize = optimize::Level::kAuto;
   std::string precompiled;  // registry-precompiled query name; "" = body
   int64_t shard = 0;        // shard label; only /batch reads it
 };
@@ -65,9 +64,8 @@ struct QueryParams {
 // Returns a 400 message, or "" on success.
 std::string ParseParams(const std::string& query,
                         kernels::BackendChoice default_backend,
-                        optimize::Level default_optimize, QueryParams* out) {
+                        QueryParams* out) {
   out->backend = default_backend;
-  out->optimize = default_optimize;
   for (const auto& [name, value] : ParseQueryParams(query)) {
     if (name == "k") {
       if (!ParsePositiveInt(value, &out->k)) {
@@ -93,12 +91,6 @@ std::string ParseParams(const std::string& query,
         return "backend must be dense|sparse|auto, got '" + value + "'";
       }
       out->backend = *choice;
-    } else if (name == "optimize") {
-      auto level = optimize::ParseLevel(value);
-      if (!level.has_value()) {
-        return "optimize must be off|auto|on, got '" + value + "'";
-      }
-      out->optimize = *level;
     } else if (name == "precompiled") {
       if (value.empty()) return "precompiled must name a query";
       out->precompiled = value;
@@ -352,8 +344,7 @@ void HttpServer::HandleQuery(int fd, RequestReader* reader,
   }
 
   QueryParams params;
-  std::string error = ParseParams(req.query, options_.backend,
-                                  options_.optimize, &params);
+  std::string error = ParseParams(req.query, options_.backend, &params);
   if (!error.empty()) {
     SendJsonError(fd, 400, error);
     return;
@@ -363,8 +354,8 @@ void HttpServer::HandleQuery(int fd, RequestReader* reader,
   std::optional<query::Query> parsed;
   if (!params.precompiled.empty()) {
     // A precompiled query IS the request: the body stays empty and the
-    // stored transducer — already optimized at registry load — runs with
-    // the pass off (re-optimizing an optimized machine is pure waste).
+    // stored transducer, minimized at registry load, runs through the
+    // same engine path as a body query.
     if (!req.body.empty()) {
       SendJsonError(fd, 400,
                     "precompiled queries take an empty body; got " +
@@ -378,7 +369,6 @@ void HttpServer::HandleQuery(int fd, RequestReader* reader,
                                  model_name + "'");
       return;
     }
-    params.optimize = optimize::Level::kOff;
     TMS_OBS_COUNT("serve.precompiled_queries", 1);
   } else {
     auto query = query::ParseQuery(req.body);
@@ -404,10 +394,8 @@ void HttpServer::HandleQuery(int fd, RequestReader* reader,
   if (params.max_answers >= 0) run.set_max_answers(params.max_answers);
   if (params.budget >= 0) run.set_work_budget(params.budget);
 
-  const exec::EngineOptions engine{.pool = pool_.get(),
-                                   .run = &run,
-                                   .backend = params.backend,
-                                   .optimize = params.optimize};
+  const exec::EngineOptions engine{
+      .pool = pool_.get(), .run = &run, .backend = params.backend};
   const query::AnswerMode mode = params.enum_mode ? query::AnswerMode::kEnum
                                                   : query::AnswerMode::kRanked;
   // The same pipeline as tms_cli topk / enum, and the same serializer as
@@ -508,8 +496,7 @@ void HttpServer::HandleBatch(int fd, RequestReader* reader,
   }
 
   QueryParams params;
-  std::string error = ParseParams(req.query, options_.backend,
-                                  options_.optimize, &params);
+  std::string error = ParseParams(req.query, options_.backend, &params);
   if (!error.empty()) {
     SendJsonError(fd, 400, error);
     return;
@@ -566,10 +553,8 @@ void HttpServer::HandleBatch(int fd, RequestReader* reader,
       }
     }
 
-    db::BatchEvaluator::Options batch_options{.pool = pool_.get(),
-                                              .run = &run,
-                                              .backend = params.backend,
-                                              .optimize = params.optimize};
+    db::BatchEvaluator::Options batch_options{
+        .pool = pool_.get(), .run = &run, .backend = params.backend};
     auto batch = db::BatchEvaluator::Create(&collection, &t, batch_options);
     if (!batch.ok()) {
       SendJsonError(fd, 400, batch.status().ToString());

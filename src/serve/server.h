@@ -20,9 +20,9 @@
 //                              {"done":true,"exec":{...}} carrying the
 //                              structured stop reason.
 //     parameters: k, mode=ranked|enum, deadline_ms, max_answers, budget,
-//                 backend=dense|sparse|auto, optimize=off|auto|on,
-//                 precompiled=<name> (registry-precompiled query, body
-//                 must be empty; see serve/registry.h)
+//                 backend=dense|sparse|auto, precompiled=<name>
+//                 (registry-precompiled query, body must be empty; see
+//                 serve/registry.h); any other name is a 400
 //   POST /batch             -> the worker half of the dist protocol
 //                              (docs/DISTRIBUTED.md): evaluates the body
 //                              query against EVERY registered model (this
@@ -67,7 +67,6 @@
 #include "exec/run_context.h"
 #include "exec/thread_pool.h"
 #include "kernels/backend.h"
-#include "optimize/level.h"
 #include "serve/admission.h"
 #include "serve/http.h"
 #include "serve/registry.h"
@@ -90,9 +89,6 @@ struct ServerOptions {
   int max_connections = 64;
   /// Kernel backend for every query unless overridden per request.
   kernels::BackendChoice backend = kernels::BackendChoice::kAuto;
-  /// Query-automaton optimization level for every query unless overridden
-  /// per request (docs/OPTIMIZE.md; byte-identical streams at any level).
-  optimize::Level optimize = optimize::Level::kAuto;
   /// Request size limits / shutdown poll granularity.
   RequestReader::Limits limits;
 };

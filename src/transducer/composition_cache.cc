@@ -8,15 +8,13 @@
 #include "common/stopwatch.h"
 #include "exec/fault.h"
 #include "obs/obs.h"
+#include "optimize/transducer_opt.h"
 
 namespace tms::transducer {
 namespace {
 
-// Optimized entries live under "O"-prefixed keys: the pruned product is
-// answer-stream-identical but not the same object graph, so a knob change
-// must never be served from the other knob's entry.
-std::string PrefixKey(const Str& prefix, bool optimized) {
-  std::string key = optimized ? "Ow:" : "w:";
+std::string PrefixKey(const Str& prefix) {
+  std::string key = "w:";
   for (Symbol s : prefix) {
     key += std::to_string(s);
     key += ',';
@@ -24,9 +22,8 @@ std::string PrefixKey(const Str& prefix, bool optimized) {
   return key;
 }
 
-std::string ConstraintKey(const ranking::OutputConstraint& c,
-                          bool optimized) {
-  std::string key = optimized ? "Oc:" : "c:";
+std::string ConstraintKey(const ranking::OutputConstraint& c) {
+  std::string key = "c:";
   for (Symbol s : c.prefix) {
     key += std::to_string(s);
     key += ',';
@@ -60,7 +57,8 @@ size_t EstimateTransducerBytes(const Transducer& t) {
 // DFA for (prefix, X = ∅, eq = true), with each edge carrying the output
 // symbol it consumes at position |w| (the only place X acts). Edges are
 // stored in the exact order the direct composition inserts them, so
-// Specialize replays an identical AddTransition sequence.
+// Specialize emits the surviving edges in the direct composition's
+// AddTransition order.
 struct CompositionCache::Base {
   enum Accept : uint8_t { kNever = 0, kAlways = 1, kIfEqual = 2 };
 
@@ -80,13 +78,12 @@ struct CompositionCache::Base {
   size_t bytes = 0;
 };
 
-CompositionCache::CompositionCache(const Transducer* t, size_t max_bytes)
-    : t_(t), max_bytes_(max_bytes) {
-  TMS_CHECK(t != nullptr);
-}
+CompositionCache::CompositionCache(const Transducer& t, size_t max_bytes)
+    : t_(optimize::PruneTransducer(t)), max_bytes_(max_bytes) {}
 
 std::shared_ptr<const CompositionCache::Base> CompositionCache::BuildBase(
-    const Str& prefix, const Transducer& t) const {
+    const Str& prefix) const {
+  const Transducer& t = t_;
   const int w = static_cast<int>(prefix.size());
   auto base = std::make_shared<Base>();
   base->nc = w + 3;
@@ -133,33 +130,6 @@ std::shared_ptr<const CompositionCache::Base> CompositionCache::BuildBase(
 }
 
 std::shared_ptr<const Transducer> CompositionCache::Specialize(
-    const Base& base, const ranking::OutputConstraint& constraint,
-    bool optimized) const {
-  if (optimized) return SpecializePruned(base, constraint);
-  auto out = std::make_shared<Transducer>(
-      t_->input_alphabet(), t_->output_alphabet(), base.num_states);
-  out->SetInitial(base.initial);
-  for (size_t state = 0; state < base.accept.size(); ++state) {
-    if (base.accept[state] == Base::kAlways ||
-        (base.accept[state] == Base::kIfEqual && constraint.allow_equal)) {
-      out->SetAccepting(static_cast<StateId>(state), true);
-    }
-  }
-  const StateId dead_c = static_cast<StateId>(base.nc - 1);
-  for (const Base::ProductEdge& e : base.edges) {
-    StateId target = e.target;
-    if (e.crossing >= 0 &&
-        constraint.excluded_next.find(e.crossing) !=
-            constraint.excluded_next.end()) {
-      target = (target / base.nc) * base.nc + dead_c;
-    }
-    Status st = out->AddTransition(e.source, e.symbol, target, e.output);
-    TMS_CHECK(st.ok());
-  }
-  return out;
-}
-
-std::shared_ptr<const Transducer> CompositionCache::SpecializePruned(
     const Base& base, const ranking::OutputConstraint& constraint) const {
   Stopwatch sw;
   const int n = base.num_states;
@@ -167,8 +137,8 @@ std::shared_ptr<const Transducer> CompositionCache::SpecializePruned(
   const size_t ne = base.edges.size();
 
   // Per-constraint resolved target of every base edge: crossing symbols
-  // in the excluded set divert into the dead column, exactly as the
-  // unfused specialization redirects them.
+  // in the excluded set divert into the dead column, exactly where the
+  // constraint DFA of ComposeWithOutputConstraint sends them.
   std::vector<StateId> target(ne);
   for (size_t i = 0; i < ne; ++i) {
     const Base::ProductEdge& e = base.edges[i];
@@ -182,8 +152,8 @@ std::shared_ptr<const Transducer> CompositionCache::SpecializePruned(
   }
 
   // CSR out-edge index by source (counting sort, stable: within a source
-  // the base insertion order — the AddTransition order of the unfused
-  // product — is preserved).
+  // the base insertion order — the AddTransition order of the direct
+  // composition — is preserved).
   std::vector<int> off(static_cast<size_t>(n) + 1, 0);
   for (const Base::ProductEdge& e : base.edges) {
     ++off[static_cast<size_t>(e.source) + 1];
@@ -217,8 +187,8 @@ std::shared_ptr<const Transducer> CompositionCache::SpecializePruned(
     }
   }
 
-  // Per-constraint acceptance (the allow_equal resolution of the unfused
-  // specialization).
+  // Per-constraint acceptance (the allow_equal resolution of the
+  // constraint DFA's accepting set).
   auto accepts = [&](size_t s) {
     return base.accept[s] == Base::kAlways ||
            (base.accept[s] == Base::kIfEqual && constraint.allow_equal);
@@ -279,13 +249,13 @@ std::shared_ptr<const Transducer> CompositionCache::SpecializePruned(
   if (kept == 0) {
     // Canonical empty transducer, as PruneTransducer builds it: one
     // non-accepting state, no edges.
-    out = std::make_shared<Transducer>(t_->input_alphabet(),
-                                       t_->output_alphabet(), 1);
+    out = std::make_shared<Transducer>(t_.input_alphabet(),
+                                       t_.output_alphabet(), 1);
     st.states_after = 1;
     st.edges_after = 0;
   } else {
-    out = std::make_shared<Transducer>(t_->input_alphabet(),
-                                       t_->output_alphabet(), kept);
+    out = std::make_shared<Transducer>(t_.input_alphabet(),
+                                       t_.output_alphabet(), kept);
     out->SetInitial(new_id[static_cast<size_t>(base.initial)]);
     int emitted = 0;
     for (size_t q = 0; q < static_cast<size_t>(n); ++q) {
@@ -311,16 +281,9 @@ std::shared_ptr<const Transducer> CompositionCache::SpecializePruned(
   return out;
 }
 
-const Transducer& CompositionCache::OptimizedTransducer() {
-  std::call_once(opt_once_, [this] {
-    opt_t_ = std::make_shared<const Transducer>(optimize::PruneTransducer(*t_));
-  });
-  return *opt_t_;
-}
-
 std::shared_ptr<const CompositionCache::Base> CompositionCache::GetBase(
-    const Str& prefix, bool optimized) {
-  std::string key = PrefixKey(prefix, optimized);
+    const Str& prefix) {
+  std::string key = PrefixKey(prefix);
   {
     std::lock_guard<std::mutex> lock(lock_);
     auto it = map_.find(key);
@@ -333,8 +296,7 @@ std::shared_ptr<const CompositionCache::Base> CompositionCache::GetBase(
     ++stats_.misses;
     TMS_OBS_COUNT("cache.misses", 1);
   }
-  std::shared_ptr<const Base> base =
-      BuildBase(prefix, optimized ? OptimizedTransducer() : *t_);
+  std::shared_ptr<const Base> base = BuildBase(prefix);
   // Simulated allocation failure (exec/fault.h): the build is served
   // uncached and the cache stays consistent — graceful degradation, not
   // an error.
@@ -350,8 +312,8 @@ std::shared_ptr<const CompositionCache::Base> CompositionCache::GetBase(
 }
 
 std::shared_ptr<const Transducer> CompositionCache::Compose(
-    const ranking::OutputConstraint& constraint, bool optimized) {
-  std::string key = ConstraintKey(constraint, optimized);
+    const ranking::OutputConstraint& constraint) {
+  std::string key = ConstraintKey(constraint);
   {
     std::lock_guard<std::mutex> lock(lock_);
     auto it = map_.find(key);
@@ -364,9 +326,8 @@ std::shared_ptr<const Transducer> CompositionCache::Compose(
     ++stats_.misses;
     TMS_OBS_COUNT("cache.misses", 1);
   }
-  std::shared_ptr<const Base> base = GetBase(constraint.prefix, optimized);
-  std::shared_ptr<const Transducer> spec =
-      Specialize(*base, constraint, optimized);
+  std::shared_ptr<const Base> base = GetBase(constraint.prefix);
+  std::shared_ptr<const Transducer> spec = Specialize(*base, constraint);
   if (TMS_FAULT_POINT("cache.insert")) return spec;  // see GetBase
   std::lock_guard<std::mutex> lock(lock_);
   auto it = map_.find(key);

@@ -9,21 +9,28 @@
 // depends only on (transducer, constraint), not on the Markov sequence, so
 // every sequence in a collection replays the same compositions.
 //
-// The cache is two-level:
+// The query is pruned once, at construction (optimize::PruneTransducer),
+// and every product is built from that pruned copy. The cache is
+// two-level:
 //   * level 1, keyed by the constraint *prefix* w: the product of the
-//     transducer with the prefix-tracking skeleton of the constraint DFA
+//     pruned query with the prefix-tracking skeleton of the constraint DFA
 //     (states 0..|w|, free, dead), with each edge annotated by its
 //     "crossing symbol" — the output symbol consumed at position |w|, the
 //     only place the excluded set X can act;
 //   * level 2, keyed by the full constraint (w, X, allow_equal): the
-//     specialized Transducer, derived from the level-1 base by redirecting
-//     edges whose crossing symbol is in X to the dead layer and resolving
-//     the allow_equal accepting bit.
+//     pruned product, derived from the level-1 base by redirecting edges
+//     whose crossing symbol is in X to the dead layer, resolving the
+//     allow_equal accepting bit, and materializing only the states that
+//     are reachable and co-accessible under that resolution (a FUSED
+//     prune: the full product is never built).
 //
-// Specialization reproduces ComposeWithOutputConstraint exactly — same
-// state numbering, same edges, same accepting set — so cached and uncached
-// enumerations are bit-identical (tests/composition_cache_test.cc checks
-// this differentially).
+// Each product is exactly PruneTransducer(ComposeWithOutputConstraint(
+// PruneTransducer(t), c)) — same state numbering, same edges, same
+// accepting set (tests/optimize_equivalence_test.cc and
+// tests/concurrency_test.cc check this differentially). The prune is
+// stream-exact (optimize/transducer_opt.h, docs/OPTIMIZE.md), so ranked
+// enumeration over these products emits the same bytes as over the
+// unpruned ComposeWithOutputConstraint, which stays the test reference.
 //
 // Both levels share one LRU byte budget. Thread-safe: lookups and
 // insertions take an internal mutex, but builds run outside it, so
@@ -44,14 +51,12 @@
 #include <string>
 #include <unordered_map>
 
-#include "optimize/transducer_opt.h"
 #include "ranking/prefix_constraint.h"
 #include "transducer/transducer.h"
 
 namespace tms::transducer {
 
-/// Memoizes ComposeWithOutputConstraint for one transducer. The transducer
-/// is held by non-owning pointer and must outlive the cache.
+/// Memoizes the pruned output-constraint products of one transducer.
 class CompositionCache {
  public:
   struct Stats {
@@ -63,34 +68,18 @@ class CompositionCache {
 
   static constexpr size_t kDefaultMaxBytes = size_t{64} << 20;  // 64 MiB
 
-  explicit CompositionCache(const Transducer* t,
+  /// Prunes `t` once and keeps that copy, so `t` need not outlive the
+  /// cache.
+  explicit CompositionCache(const Transducer& t,
                             size_t max_bytes = kDefaultMaxBytes);
 
   CompositionCache(const CompositionCache&) = delete;
   CompositionCache& operator=(const CompositionCache&) = delete;
 
-  /// The composed transducer for (transducer(), constraint) —
-  /// bit-identical to ComposeWithOutputConstraint(transducer(), constraint).
-  ///
-  /// With `optimized` set, both sides of the composition are pruned: the
-  /// query transducer through optimize::PruneTransducer once (lazily,
-  /// shared by all optimized compositions of this cache) before the
-  /// product is built, and the product itself by a FUSED prune — the
-  /// reachable ∧ co-accessible cut is computed on the cached base
-  /// skeleton and only the surviving sub-product is ever materialized, so
-  /// the optimized compose does strictly less allocation work than the
-  /// unoptimized one while returning exactly the transducer
-  /// optimize::PruneTransducer would have produced from the full product
-  /// (tests/optimize_equivalence_test.cc checks this differentially).
-  /// The pruned product yields byte-identical answer streams (the prune
-  /// is stream-exact, see optimize/transducer_opt.h) but is NOT the same
-  /// Transducer object graph, so optimized and unoptimized compositions
-  /// are cached under DISTINCT keys — a lookup can never cross the knob
-  /// (the regression in tests/optimize_equivalence_test.cc pins this).
+  /// The pruned product of the query with `constraint` (see the file
+  /// comment); repeated calls return the same object while it is cached.
   std::shared_ptr<const Transducer> Compose(
-      const ranking::OutputConstraint& constraint, bool optimized = false);
-
-  const Transducer& transducer() const { return *t_; }
+      const ranking::OutputConstraint& constraint);
 
   Stats stats() const;
 
@@ -106,24 +95,16 @@ class CompositionCache {
     std::list<std::string>::iterator lru_it;
   };
 
-  std::shared_ptr<const Base> GetBase(const Str& prefix, bool optimized);
-  std::shared_ptr<const Base> BuildBase(const Str& prefix,
-                                        const Transducer& t) const;
+  std::shared_ptr<const Base> GetBase(const Str& prefix);
+  std::shared_ptr<const Base> BuildBase(const Str& prefix) const;
+
+  /// Resolves every base edge under `constraint`, computes the reachable ∧
+  /// co-accessible cut over the resolved graph, and materializes ONLY the
+  /// live sub-product — Transducer-identical to running
+  /// optimize::PruneTransducer over the full specialized product, without
+  /// ever building that product.
   std::shared_ptr<const Transducer> Specialize(
-      const Base& base, const ranking::OutputConstraint& constraint,
-      bool optimized) const;
-
-  /// The optimized-path specialization: resolves every base edge under
-  /// `constraint`, computes the reachable ∧ co-accessible cut over the
-  /// resolved graph, and materializes ONLY the live sub-product —
-  /// Transducer-identical to running optimize::PruneTransducer over the
-  /// full specialized product, without ever building that product.
-  std::shared_ptr<const Transducer> SpecializePruned(
       const Base& base, const ranking::OutputConstraint& constraint) const;
-
-  /// The pruned copy of transducer(), built once on first optimized
-  /// composition (never built when the knob stays off).
-  const Transducer& OptimizedTransducer();
 
   // Map maintenance (all require lock_ held). Touch moves a hit to the
   // LRU front; Insert adds a slot (first writer wins on races) and evicts
@@ -131,11 +112,8 @@ class CompositionCache {
   void TouchLocked(Slot& slot);
   void InsertLocked(std::string key, Slot slot);
 
-  const Transducer* t_;
+  const Transducer t_;  // the pruned query
   const size_t max_bytes_;
-
-  std::once_flag opt_once_;
-  std::shared_ptr<const Transducer> opt_t_;
 
   mutable std::mutex lock_;
   std::unordered_map<std::string, Slot> map_;

@@ -19,6 +19,7 @@
 #include "db/batch_evaluator.h"
 #include "db/collection.h"
 #include "exec/thread_pool.h"
+#include "optimize/transducer_opt.h"
 #include "projector/imax_enum.h"
 #include "projector/sprojector.h"
 #include "query/emax_enum.h"
@@ -101,7 +102,7 @@ TEST(ParallelEmaxTest, SharedCacheAcrossEnumerationsStaysIdentical) {
   Transducer t = RandomT(mu.nodes(), rng);
   std::vector<ScoredAnswer> fresh = DrainEmax(mu, t, nullptr);
 
-  CompositionCache cache(&t);
+  CompositionCache cache(t);
   exec::ThreadPool pool(3);
   for (int round = 0; round < 3; ++round) {
     EmaxEnumerator it(mu, t, {.pool = &pool, .cache = &cache});
@@ -162,12 +163,20 @@ void ExpectSameTransducer(const Transducer& want, const Transducer& got) {
   }
 }
 
+// What the cache returns for (t, c): the product of the pruned query,
+// pruned (the expression that
+// OptimizeEquivalenceTest.FusedProductPruneMatchesComposeThenPrune pins).
+Transducer PrunedProduct(const Transducer& t, const OutputConstraint& c) {
+  return optimize::PruneTransducer(
+      ComposeWithOutputConstraint(optimize::PruneTransducer(t), c));
+}
+
 TEST(CompositionCacheTest, MatchesDirectCompositionOnLawlerConstraints) {
   Rng rng(404);
   for (int trial = 0; trial < 8; ++trial) {
     markov::MarkovSequence mu = RandomMu(rng, 5);
     Transducer t = RandomT(mu.nodes(), rng);
-    CompositionCache cache(&t);
+    CompositionCache cache(t);
 
     // The constraints that actually occur: the root and every PartitionAfter
     // child of the answers the enumeration produces.
@@ -184,7 +193,7 @@ TEST(CompositionCacheTest, MatchesDirectCompositionOnLawlerConstraints) {
     for (const OutputConstraint& c : constraints) {
       auto cached = cache.Compose(c);
       ASSERT_NE(cached, nullptr);
-      ExpectSameTransducer(ComposeWithOutputConstraint(t, c), *cached);
+      ExpectSameTransducer(PrunedProduct(t, c), *cached);
       // Second lookup returns the same object, not a rebuild.
       EXPECT_EQ(cache.Compose(c).get(), cached.get());
     }
@@ -195,7 +204,7 @@ TEST(CompositionCacheTest, CountsHitsAndMisses) {
   Rng rng(9);
   markov::MarkovSequence mu = RandomMu(rng, 4);
   Transducer t = RandomT(mu.nodes(), rng);
-  CompositionCache cache(&t);
+  CompositionCache cache(t);
   EXPECT_EQ(cache.stats().hits, 0);
   EXPECT_EQ(cache.stats().misses, 0);
 
@@ -224,7 +233,7 @@ TEST(CompositionCacheTest, EvictsUnderTinyBudgetAndStaysCorrect) {
   Rng rng(11);
   markov::MarkovSequence mu = RandomMu(rng, 6);
   Transducer t = RandomT(mu.nodes(), rng);
-  CompositionCache cache(&t, /*max_bytes=*/1024);
+  CompositionCache cache(t, /*max_bytes=*/1024);
 
   std::vector<OutputConstraint> constraints;
   for (Symbol a = 0; a < 2; ++a) {
@@ -237,11 +246,11 @@ TEST(CompositionCacheTest, EvictsUnderTinyBudgetAndStaysCorrect) {
     }
   }
   // Cycle through enough distinct compositions to blow the 1 KiB budget
-  // repeatedly; every result must still match the direct composition.
+  // repeatedly; every result must still match the pruned composition.
   for (int round = 0; round < 3; ++round) {
     for (const OutputConstraint& c : constraints) {
       auto cached = cache.Compose(c);
-      ExpectSameTransducer(ComposeWithOutputConstraint(t, c), *cached);
+      ExpectSameTransducer(PrunedProduct(t, c), *cached);
     }
   }
   EXPECT_GT(cache.stats().evictions, 0);

@@ -325,6 +325,10 @@ TEST(WorkerListTest, RejectsMalformedSpecs) {
   EXPECT_FALSE(dist::ParseWorkerList("host:").ok());
   EXPECT_FALSE(dist::ParseWorkerList("host:0").ok());
   EXPECT_FALSE(dist::ParseWorkerList("host:99999").ok());
+  // Values that wrap a 32-bit int (to 80 and to INT_MIN) are still out of
+  // range, not silently accepted.
+  EXPECT_FALSE(dist::ParseWorkerList("h:4294967376").ok());
+  EXPECT_FALSE(dist::ParseWorkerList("h:2147483648").ok());
   EXPECT_FALSE(dist::ParseWorkerList("host:12ab").ok());
   EXPECT_FALSE(dist::ParseWorkerList("a:1,,b:2").ok());
 }

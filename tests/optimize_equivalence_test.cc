@@ -1,19 +1,20 @@
 // Differential equivalence harness for the query-automaton optimization
-// pass (src/optimize/, docs/OPTIMIZE.md).
+// passes (src/optimize/, docs/OPTIMIZE.md).
 //
 // The system's headline guarantee is byte-identical ranked streams at
-// every thread count and backend; the optimization knob must preserve it
-// EXACTLY. This suite byte-compares optimized-vs-unoptimized answer
-// streams across the enumeration engines × {dense,sparse,auto} backends ×
-// {1,2,8} threads on randomized instances (TMS_TEST_SEED-replayable), and
-// adds the metamorphic properties the pass documents:
+// every thread count and backend, and every engine path prunes the query
+// and its composed products. This suite byte-compares each engine's
+// stream across {dense,sparse,auto} backends × {1,2,8} threads on
+// randomized instances (TMS_TEST_SEED-replayable) against an UNPRUNED
+// reference: Lawler over the direct composition for E_max, brute-force
+// ground truth for the unranked engine. It adds the metamorphic
+// properties the passes document:
 //   * PruneTransducer and MinimizeTransducer are idempotent;
 //   * pruning/minimization never change the answer set, and minimization
 //     preserves per-answer scores within the documented 1e-12 tolerance
 //     (pruning is exact — bitwise);
-//   * CompositionCache keys the optimization level — a lookup can never
-//     return an entry built under the other knob setting (the regression
-//     for the cache-key bug this PR fixes).
+//   * the composition cache's fused product prune is transducer-identical
+//     to compose-then-prune.
 
 #include <gtest/gtest.h>
 
@@ -29,11 +30,12 @@
 #include "exec/thread_pool.h"
 #include "io/text_format.h"
 #include "kernels/backend.h"
-#include "optimize/level.h"
 #include "optimize/transducer_opt.h"
+#include "query/emax.h"
 #include "query/engine_factory.h"
 #include "query/top_confidence.h"
 #include "query/unranked_enum.h"
+#include "ranking/lawler.h"
 #include "ranking/prefix_constraint.h"
 #include "test_util.h"
 #include "transducer/compose.h"
@@ -44,7 +46,6 @@ namespace tms {
 namespace {
 
 using kernels::BackendChoice;
-using optimize::Level;
 
 struct Instance {
   markov::MarkovSequence mu;
@@ -67,14 +68,16 @@ Instance SparseInstance(Rng& rng, int n = 6) {
 }
 
 // Small dense inhomogeneous instance. Low accept_prob and loose density
-// make unreachable and dead states likely, so the prune actually fires.
+// make unreachable and dead states likely, so the prune actually fires;
+// 1-state queries are drawn too (their products are pruned like any
+// other).
 Instance DenseInstance(Rng& rng) {
   const int sigma = static_cast<int>(rng.UniformInt(2, 3));
   const int n = static_cast<int>(rng.UniformInt(2, 4));
   markov::MarkovSequence mu =
       workload::RandomMarkovSequence(sigma, n, /*support=*/sigma, rng);
   workload::RandomTransducerOptions opts;
-  opts.num_states = static_cast<int>(rng.UniformInt(2, 5));
+  opts.num_states = static_cast<int>(rng.UniformInt(1, 5));
   opts.density = 1.0;
   opts.max_emission = 2;
   opts.accept_prob = 0.5;
@@ -82,25 +85,55 @@ Instance DenseInstance(Rng& rng) {
   return Instance{std::move(mu), std::move(t)};
 }
 
+constexpr int kGuard = 40;  // answers drained per stream
+
+std::vector<ranking::ScoredAnswer> DrainStream(ranking::AnswerStream& it) {
+  std::vector<ranking::ScoredAnswer> out;
+  while (static_cast<int>(out.size()) < kGuard) {
+    auto answer = it.Next();
+    if (!answer.has_value()) break;
+    out.push_back(std::move(*answer));
+  }
+  return out;
+}
+
 std::vector<ranking::ScoredAnswer> Drain(query::EnumeratorKind kind,
-                                         const Instance& inst, Level level,
+                                         const Instance& inst,
                                          BackendChoice backend,
-                                         exec::ThreadPool* pool = nullptr,
-                                         int guard = 40) {
-  exec::EngineOptions options;
-  options.pool = pool;
-  options.backend = backend;
-  options.optimize = level;
-  auto it = query::MakeEnumerator(kind, inst.mu, inst.t, options);
+                                         exec::ThreadPool* pool) {
+  auto it = query::MakeEnumerator(kind, inst.mu, inst.t,
+                                  {.pool = pool, .backend = backend});
   if (!it.ok()) {
     ADD_FAILURE() << "MakeEnumerator: " << it.status();
     return {};
   }
+  return DrainStream(**it);
+}
+
+// The unpruned E_max reference: Lawler whose solver composes the query as
+// given with each constraint (no prune, no cache) and runs the dense
+// Viterbi on the full product.
+std::vector<ranking::ScoredAnswer> ReferenceEmax(const Instance& inst) {
+  const query::EmaxContext ctx(inst.mu, BackendChoice::kDense);
+  ranking::LawlerEnumerator lawler(
+      [&](const ranking::OutputConstraint& c)
+          -> std::optional<ranking::ScoredAnswer> {
+        auto best =
+            ctx.TopAnswer(transducer::ComposeWithOutputConstraint(inst.t, c));
+        if (!best.has_value()) return std::nullopt;
+        return ranking::ScoredAnswer{std::move(best->output), best->prob};
+      });
+  return DrainStream(lawler);
+}
+
+// The unranked reference: every answer of the brute-force ground truth,
+// in lexicographic (map) order, scored 0.0 like the engine's.
+std::vector<ranking::ScoredAnswer> ReferenceUnranked(const Instance& inst) {
   std::vector<ranking::ScoredAnswer> out;
-  for (int i = 0; i < guard; ++i) {
-    auto answer = (*it)->Next();
-    if (!answer.has_value()) break;
-    out.push_back(std::move(*answer));
+  for (const auto& [answer, confidence] :
+       testing::BruteForceAnswers(inst.mu, inst.t)) {
+    if (static_cast<int>(out.size()) == kGuard) break;
+    out.push_back(ranking::ScoredAnswer{answer, 0.0});
   }
   return out;
 }
@@ -117,28 +150,23 @@ void ExpectSameStream(const std::vector<ranking::ScoredAnswer>& got,
   }
 }
 
-// The full differential sweep for one engine kind: the kOff/dense/1-thread
-// stream is the reference; every (level, backend, threads) combination
-// must reproduce it byte for byte.
+// The full differential sweep for one engine kind: every (backend,
+// threads) combination must reproduce the unpruned reference byte for
+// byte.
 void SweepEngine(query::EnumeratorKind kind, const Instance& inst,
+                 const std::vector<ranking::ScoredAnswer>& reference,
                  const std::string& regime) {
-  const std::vector<ranking::ScoredAnswer> reference =
-      Drain(kind, inst, Level::kOff, BackendChoice::kDense);
-  for (Level level : {Level::kAuto, Level::kOn}) {
-    for (BackendChoice backend :
-         {BackendChoice::kDense, BackendChoice::kSparse, BackendChoice::kAuto}) {
-      for (int threads : {1, 2, 8}) {
-        std::optional<exec::ThreadPool> pool;
-        if (threads > 1) pool.emplace(threads - 1);
-        std::vector<ranking::ScoredAnswer> stream =
-            Drain(kind, inst, level, backend, pool ? &*pool : nullptr);
-        ExpectSameStream(
-            stream, reference,
-            regime + " engine=" + query::EnumeratorKindName(kind) +
-                " optimize=" + optimize::LevelName(level) +
-                " backend=" + kernels::BackendChoiceName(backend) +
-                " threads=" + std::to_string(threads));
-      }
+  for (BackendChoice backend :
+       {BackendChoice::kDense, BackendChoice::kSparse, BackendChoice::kAuto}) {
+    for (int threads : {1, 2, 8}) {
+      std::optional<exec::ThreadPool> pool;
+      if (threads > 1) pool.emplace(threads - 1);
+      ExpectSameStream(Drain(kind, inst, backend, pool ? &*pool : nullptr),
+                       reference,
+                       regime + " engine=" + query::EnumeratorKindName(kind) +
+                           " states=" + std::to_string(inst.t.num_states()) +
+                           " backend=" + kernels::BackendChoiceName(backend) +
+                           " threads=" + std::to_string(threads));
     }
   }
 }
@@ -150,7 +178,7 @@ TEST(OptimizeEquivalenceTest, EmaxStreamByteIdenticalAcrossKnobAndThreads) {
   for (int trial = 0; trial < 4; ++trial) {
     for (bool sparse_regime : {true, false}) {
       Instance inst = sparse_regime ? SparseInstance(rng) : DenseInstance(rng);
-      SweepEngine(query::EnumeratorKind::kEmax, inst,
+      SweepEngine(query::EnumeratorKind::kEmax, inst, ReferenceEmax(inst),
                   sparse_regime ? "sparse-regime" : "dense-regime");
     }
   }
@@ -165,47 +193,8 @@ TEST(OptimizeEquivalenceTest, UnrankedStreamByteIdenticalAcrossKnobAndThreads) {
       Instance inst =
           sparse_regime ? SparseInstance(rng, /*n=*/4) : DenseInstance(rng);
       SweepEngine(query::EnumeratorKind::kUnranked, inst,
+                  ReferenceUnranked(inst),
                   sparse_regime ? "sparse-regime" : "dense-regime");
-    }
-  }
-}
-
-// The s-projector I_max engine composes no product automaton, so the knob
-// is documented-inert there (projector/imax_enum.h); its stream must not
-// move under any level, at any thread count.
-TEST(OptimizeEquivalenceTest, SProjectorStreamInertUnderKnob) {
-  const uint64_t seed = testing::TestSeed(27103);
-  SCOPED_TRACE(testing::SeedTrace(seed));
-  Rng rng(seed);
-  Alphabet ab = workload::MakeSymbols(2, "n");
-  auto p = projector::SProjector::FromRegex(ab, ". *", "n0 +", ". *");
-  ASSERT_TRUE(p.ok()) << p.status();
-  markov::MarkovSequence mu = workload::RandomMarkovSequence(2, 5, 2, rng);
-
-  auto drain = [&](Level level, exec::ThreadPool* pool) {
-    exec::EngineOptions options;
-    options.pool = pool;
-    options.optimize = level;
-    auto it = query::MakeEnumerator(mu, *p, options);
-    std::vector<ranking::ScoredAnswer> out;
-    if (!it.ok()) {
-      ADD_FAILURE() << it.status();
-      return out;
-    }
-    while (auto a = (*it)->Next()) out.push_back(std::move(*a));
-    return out;
-  };
-  const std::vector<ranking::ScoredAnswer> reference =
-      drain(Level::kOff, nullptr);
-  EXPECT_FALSE(reference.empty());
-  for (Level level : {Level::kAuto, Level::kOn}) {
-    for (int threads : {1, 2, 8}) {
-      std::optional<exec::ThreadPool> pool;
-      if (threads > 1) pool.emplace(threads - 1);
-      ExpectSameStream(drain(level, pool ? &*pool : nullptr), reference,
-                       std::string("sprojector optimize=") +
-                           optimize::LevelName(level) +
-                           " threads=" + std::to_string(threads));
     }
   }
 }
@@ -306,57 +295,11 @@ TEST(OptimizeEquivalenceTest, MinimizePreservesAnswerSetAndScores) {
 }
 
 // ---------------------------------------------------------------------------
-// The cache-key regression (the bug this PR fixes): CompositionCache used
-// to key entries by constraint only, so flipping the optimize knob could
-// return a product built under the other setting.
-
-TEST(OptimizeEquivalenceTest, CompositionCacheKeysOptimizationLevel) {
-  // A query with an unreachable state and a dead state, so the pruned
-  // product is strictly smaller than the raw one and any key collision is
-  // visible as a wrong state count.
-  Alphabet ab = workload::MakeSymbols(2, "n");
-  transducer::Transducer t(ab, ab, 4);
-  t.SetInitial(0);
-  t.SetAccepting(1);
-  ASSERT_TRUE(t.AddTransition(0, 0, 1, {0}).ok());
-  ASSERT_TRUE(t.AddTransition(1, 0, 1, {0}).ok());
-  ASSERT_TRUE(t.AddTransition(1, 1, 1, {1}).ok());
-  ASSERT_TRUE(t.AddTransition(0, 1, 3, {1}).ok());  // 3: reachable, dead
-  ASSERT_TRUE(t.AddTransition(2, 0, 1, {0}).ok());  // 2: unreachable
-
-  for (bool optimized_first : {true, false}) {
-    transducer::CompositionCache cache(&t);
-    ranking::OutputConstraint all = ranking::OutputConstraint::All();
-    auto first = cache.Compose(all, optimized_first);
-    auto second = cache.Compose(all, !optimized_first);
-    auto opt = optimized_first ? first : second;
-    auto raw = optimized_first ? second : first;
-    EXPECT_LT(opt->num_states(), raw->num_states())
-        << "optimized_first=" << optimized_first
-        << ": knob crossed the cache";
-    // Replays hit their own entries and return the identical objects.
-    EXPECT_EQ(cache.Compose(all, true).get(), opt.get());
-    EXPECT_EQ(cache.Compose(all, false).get(), raw.get());
-    EXPECT_GE(cache.stats().hits, 2);
-    // A narrower constraint under both knob settings: both sides must
-    // admit exactly the same answers.
-    ranking::OutputConstraint narrowed;
-    narrowed.prefix = {0};
-    narrowed.allow_equal = false;
-    auto opt_narrow = cache.Compose(narrowed, true);
-    auto raw_narrow = cache.Compose(narrowed, false);
-    Str w01 = {0, 0};
-    Str w0 = {0};
-    EXPECT_EQ(opt_narrow->TransduceAll(w01).empty(),
-              raw_narrow->TransduceAll(w01).empty());
-    EXPECT_EQ(opt_narrow->TransduceAll(w0).empty(),
-              raw_narrow->TransduceAll(w0).empty());
-  }
-}
+// The engine's fused product prune.
 
 TEST(OptimizeEquivalenceTest, FusedProductPruneMatchesComposeThenPrune) {
-  // The optimized cache path prunes DURING specialization (the full
-  // product is never materialized); this pins it, transducer-for-
+  // The cache prunes DURING specialization (the full product is never
+  // materialized); this pins it, transducer-for-
   // transducer, to the reference pipeline it fuses: prune the root, run
   // the direct composition, prune the product. Random machines and random
   // constraints, including constraints whose product has an empty
@@ -370,7 +313,7 @@ TEST(OptimizeEquivalenceTest, FusedProductPruneMatchesComposeThenPrune) {
     const int out_sigma =
         static_cast<int>(inst.t.output_alphabet().size());
     transducer::Transducer pruned_root = optimize::PruneTransducer(inst.t);
-    transducer::CompositionCache cache(&inst.t);
+    transducer::CompositionCache cache(inst.t);
     for (int c = 0; c < 6; ++c) {
       ranking::OutputConstraint constraint;
       const int w = static_cast<int>(rng.UniformInt(0, 3));
@@ -386,7 +329,7 @@ TEST(OptimizeEquivalenceTest, FusedProductPruneMatchesComposeThenPrune) {
       transducer::Transducer expected = optimize::PruneTransducer(
           transducer::ComposeWithOutputConstraint(pruned_root, constraint));
       std::shared_ptr<const transducer::Transducer> fused =
-          cache.Compose(constraint, true);
+          cache.Compose(constraint);
       EXPECT_EQ(io::FormatTransducer(*fused), io::FormatTransducer(expected))
           << "constraint " << c << ": fused prune diverged from "
           << "compose-then-prune";

@@ -664,49 +664,32 @@ TEST_F(ServePrecompileTest, RegistryPrecompilesAndPersistsArtifact) {
   std::remove(artifact_path.c_str());
 
   ModelRegistry registry = MakeRegistry();
-  // kOff registers the machine as parsed: no pass, no artifact.
-  ASSERT_TRUE(registry
-                  .Precompile("fig1", "raw", query_path,
-                              optimize::Level::kOff)
-                  .ok());
   EXPECT_FALSE(std::ifstream(artifact_path).good());
-  const transducer::Transducer* raw = registry.FindPrecompiled("fig1", "raw");
-  ASSERT_NE(raw, nullptr);
-  EXPECT_EQ(raw->num_states(),
-            workload::Figure2Transducer().num_states());
-
-  // kOn runs the pass and persists the artifact.
+  // The first precompile runs the pass and persists the artifact.
   const int64_t saved_before = CounterValue("optimize.artifact_saved");
-  ASSERT_TRUE(registry
-                  .Precompile("fig1", "opt", query_path, optimize::Level::kOn)
-                  .ok());
+  ASSERT_TRUE(registry.Precompile("fig1", "opt", query_path).ok());
   ExpectCounterDelta("optimize.artifact_saved", saved_before, 1);
+  EXPECT_TRUE(std::ifstream(artifact_path).good());
   const transducer::Transducer* opt = registry.FindPrecompiled("fig1", "opt");
   ASSERT_NE(opt, nullptr);
-  EXPECT_LE(opt->num_states(), raw->num_states());
+  EXPECT_LE(opt->num_states(), workload::Figure2Transducer().num_states());
 
   // A second cold start loads the persisted artifact instead of
   // re-optimizing.
   const int64_t loaded_before = CounterValue("optimize.artifact_loaded");
   ModelRegistry cold = MakeRegistry();
-  ASSERT_TRUE(
-      cold.Precompile("fig1", "opt", query_path, optimize::Level::kOn).ok());
+  ASSERT_TRUE(cold.Precompile("fig1", "opt", query_path).ok());
   ExpectCounterDelta("optimize.artifact_loaded", loaded_before, 1);
   const transducer::Transducer* reloaded = cold.FindPrecompiled("fig1", "opt");
   ASSERT_NE(reloaded, nullptr);
   EXPECT_EQ(io::FormatTransducer(*reloaded), io::FormatTransducer(*opt));
 
   // The error plane: unknown model, duplicate name, empty name.
-  EXPECT_FALSE(registry
-                   .Precompile("ghost", "q", query_path, optimize::Level::kOn)
-                   .ok());
-  EXPECT_FALSE(
-      registry.Precompile("fig1", "opt", query_path, optimize::Level::kOn)
-          .ok());
-  EXPECT_FALSE(
-      registry.Precompile("fig1", "", query_path, optimize::Level::kOn).ok());
+  EXPECT_FALSE(registry.Precompile("ghost", "q", query_path).ok());
+  EXPECT_FALSE(registry.Precompile("fig1", "opt", query_path).ok());
+  EXPECT_FALSE(registry.Precompile("fig1", "", query_path).ok());
   EXPECT_EQ(registry.PrecompiledNames(),
-            (std::vector<std::string>{"fig1:opt", "fig1:raw"}));
+            (std::vector<std::string>{"fig1:opt"}));
 }
 
 TEST_F(ServePrecompileTest, CorruptArtifactRejectedLoudlyWithFallback) {
@@ -719,8 +702,7 @@ TEST_F(ServePrecompileTest, CorruptArtifactRejectedLoudlyWithFallback) {
 
   const int64_t rejected_before = CounterValue("optimize.artifact_rejected");
   ModelRegistry registry = MakeRegistry();
-  ASSERT_TRUE(
-      registry.Precompile("fig1", "q", query_path, optimize::Level::kOn).ok());
+  ASSERT_TRUE(registry.Precompile("fig1", "q", query_path).ok());
   // The rejection was loud...
   ExpectCounterDelta("optimize.artifact_rejected", rejected_before, 1);
   // ...the fallback compiled on the fly to the same machine the pass
@@ -750,15 +732,13 @@ TEST_F(ServePrecompileTest, PrecompiledRequestStreamsIdenticalBytes) {
 
   ModelRegistry registry;
   ASSERT_TRUE(registry.Insert("fig1", workload::Figure1Sequence()).ok());
-  ASSERT_TRUE(
-      registry.Precompile("fig1", "top", query_path, optimize::Level::kOn)
-          .ok());
+  ASSERT_TRUE(registry.Precompile("fig1", "top", query_path).ok());
   server_ = std::make_unique<HttpServer>(std::move(registry), ServerOptions{});
   ASSERT_TRUE(server_->Start().ok());
   port_ = server_->port();
 
   // The stored stream is byte-identical to the same query sent by body —
-  // the optimization knob must not move a single byte.
+  // minimization must not move a single byte.
   auto by_body = ParseResponse(Post(port_, "/query/fig1?k=3", QueryBody()));
   auto by_name =
       ParseResponse(Post(port_, "/query/fig1?k=3&precompiled=top", ""));
@@ -780,21 +760,15 @@ TEST_F(ServePrecompileTest, PrecompiledRequestStreamsIdenticalBytes) {
   ASSERT_TRUE(unknown.has_value());
   EXPECT_EQ(unknown->code, 404);
 
-  // A bad ?optimize= value on the ordinary plane is a 400 with the knob
-  // named.
-  auto bad_level =
-      ParseResponse(Post(port_, "/query/fig1?optimize=max", QueryBody()));
-  ASSERT_TRUE(bad_level.has_value());
-  EXPECT_EQ(bad_level->code, 400);
-  EXPECT_NE(bad_level->body.find("optimize"), std::string::npos);
-
-  // Explicit ?optimize=off|on both reproduce the default stream.
-  for (const char* level : {"off", "on"}) {
-    auto swept = ParseResponse(Post(
-        port_, std::string("/query/fig1?k=3&optimize=") + level, QueryBody()));
-    ASSERT_TRUE(swept.has_value()) << level;
-    EXPECT_EQ(swept->body, by_body->body) << level;
-  }
+  // Every query is pruned, so `optimize` names no parameter: a 400 like
+  // any unknown name.
+  auto retired =
+      ParseResponse(Post(port_, "/query/fig1?optimize=on", QueryBody()));
+  ASSERT_TRUE(retired.has_value());
+  EXPECT_EQ(retired->code, 400);
+  EXPECT_NE(retired->body.find("unknown parameter 'optimize'"),
+            std::string::npos)
+      << retired->body;
 }
 
 }  // namespace

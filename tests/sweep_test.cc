@@ -33,6 +33,15 @@ struct PipelineParam {
   bool selective;
 };
 
+// Printed by field for a stable ctest name (see SProjectorParam's PrintTo).
+void PrintTo(const PipelineParam& param, std::ostream* os) {
+  *os << "sigma=" << param.sigma << " n=" << param.n
+      << " states=" << param.states << " det=" << param.deterministic
+      << " uniform_k=" << param.uniform_k
+      << " max_emission=" << param.max_emission
+      << " selective=" << param.selective;
+}
+
 class PipelineSweep : public ::testing::TestWithParam<PipelineParam> {};
 
 TEST_P(PipelineSweep, FullEvaluationMatchesBruteForce) {

@@ -1,16 +1,14 @@
 #!/bin/sh
 # End-to-end golden regression corpus.
 #
-# Six workloads (hospital transducer, hospital s-projector, the paper's
-# running example, bio motif, plus the hospital and bio-motif workloads
-# replayed with --optimize=on) are replayed through the CLI; for each,
+# Four workloads (hospital transducer, hospital s-projector, the paper's
+# running example, bio motif) are replayed through the CLI; for each,
 # BOTH the ranked answer stream (full stdout, byte-compared) and the
-# --stats=json KEY SET are pinned against tests/golden/. The two
-# optimization-enabled cases must ALSO byte-match their unoptimized
-# twins: the optimize pass is stream-exact (docs/OPTIMIZE.md). Answer streams are deterministic because
-# the max-plus kernel paths are bit-exact and ties break identically at
-# any thread count; metric values are not deterministic, so only the JSON
-# keys are golden (the check_stats_schema.sh convention).
+# --stats=json KEY SET are pinned against tests/golden/. Answer streams
+# are deterministic because the max-plus kernel paths are bit-exact and
+# ties break identically at any thread count; metric values are not
+# deterministic, so only the JSON keys are golden (the
+# check_stats_schema.sh convention).
 #
 # A divergence means user-visible output changed: either fix the
 # regression or regenerate deliberately:
@@ -41,10 +39,10 @@ require_golden() {
   fi
 }
 
-check_case() { # name sequence query k [extra-flag]
-  name="$1"; seq="$2"; query="$3"; k="$4"; extra="${5:-}"
-  out=$("$CLI" topk "$seq" "$query" "$k" $extra)
-  keys=$("$CLI" topk "$seq" "$query" "$k" $extra --stats=json \
+check_case() { # name sequence query k
+  name="$1"; seq="$2"; query="$3"; k="$4"
+  out=$("$CLI" topk "$seq" "$query" "$k")
+  keys=$("$CLI" topk "$seq" "$query" "$k" --stats=json \
          | grep -o '"[^"]*":' | LC_ALL=C sort -u)
   if [ -n "${TMS_UPDATE_GOLDEN:-}" ]; then
     printf '%s\n' "$out" > "$GOLD/${name}_topk.golden"
@@ -70,23 +68,6 @@ check_case hospital "$DATA/hospital.tms" "$DATA/place_tracker.tms" 5
 check_case hospital_sproj "$DATA/hospital.tms" "$DATA/lab_visit.tms" 5
 check_case running_example "$GDATA/fig1.tms" "$GDATA/fig2_query.tms" 5
 check_case bio_motif "$GDATA/motif.tms" "$GDATA/motif_query.tms" 5
-check_case hospital_opt "$DATA/hospital.tms" "$DATA/place_tracker.tms" 5 \
-  --optimize=on
-check_case bio_motif_opt "$GDATA/motif.tms" "$GDATA/motif_query.tms" 5 \
-  --optimize=on
-
-# The optimized streams must be byte-identical to their unoptimized
-# twins — not merely self-consistent. A diff here means the pass changed
-# user-visible bytes, which it promises never to do.
-if [ -z "${TMS_UPDATE_GOLDEN:-}" ]; then
-  for pair in "hospital hospital_opt" "bio_motif bio_motif_opt"; do
-    base=${pair% *}; opt=${pair#* }
-    if ! cmp -s "$GOLD/${base}_topk.golden" "$GOLD/${opt}_topk.golden"; then
-      echo "optimized golden stream differs from unoptimized: $opt" >&2
-      exit 1
-    fi
-  done
-fi
 
 # Neither the thread count nor the kernel backend may change the answer
 # stream: the max-plus kernels are exact at any concurrency, and the
@@ -97,15 +78,12 @@ t1=$("$CLI" topk "$DATA/hospital.tms" "$DATA/place_tracker.tms" 10 \
      --threads=1)
 for th in 1 2 8; do
   for be in dense sparse auto; do
-    for op in on off; do
-      tn=$("$CLI" topk "$DATA/hospital.tms" "$DATA/place_tracker.tms" 10 \
-           --threads=$th --backend=$be --optimize=$op)
-      if [ "$t1" != "$tn" ]; then
-        echo "answer stream diverged at --threads=$th --backend=$be" \
-             "--optimize=$op" >&2
-        exit 1
-      fi
-    done
+    tn=$("$CLI" topk "$DATA/hospital.tms" "$DATA/place_tracker.tms" 10 \
+         --threads=$th --backend=$be)
+    if [ "$t1" != "$tn" ]; then
+      echo "answer stream diverged at --threads=$th --backend=$be" >&2
+      exit 1
+    fi
   done
 done
 

@@ -49,11 +49,6 @@
 //                    when the transition matrices are sparse enough, see
 //                    docs/SPARSE.md). Output is byte-identical across
 //                    backends; only the running time changes.
-//   --optimize=off|auto|on
-//                    offline optimization of the query automata before
-//                    composition (default auto, see docs/OPTIMIZE.md).
-//                    Like --backend this is a performance knob only:
-//                    answer streams are byte-identical at every level.
 // The answers printed under any of these limits are always an exact prefix
 // of the unbounded output. A truncated run still exits 0: the stop reason
 // goes to stderr (human mode) or the "exec" field (--stats=json).
@@ -98,7 +93,6 @@
 #include "obs/explain.h"
 #include "obs/obs.h"
 #include "optimize/artifact.h"
-#include "optimize/level.h"
 #include "optimize/transducer_opt.h"
 #include "projector/imax_enum.h"
 #include "projector/sprojector_confidence.h"
@@ -133,9 +127,6 @@ struct ExecOptions {
   // --backend=dense|sparse|auto: kernel path of every DP underneath.
   // Output is byte-identical across backends (docs/SPARSE.md).
   kernels::BackendChoice backend = kernels::BackendChoice::kAuto;
-  // --optimize=off|auto|on: offline optimization of the query automata
-  // (docs/OPTIMIZE.md). Byte-identical output at every level.
-  optimize::Level optimize = optimize::Level::kAuto;
 
   exec::ThreadPool* MakePool() {
     if (threads > 1 && pool_ == nullptr) {
@@ -146,10 +137,7 @@ struct ExecOptions {
 
   // The full engine-options bundle the enumeration engines consume.
   exec::EngineOptions MakeEngineOptions() {
-    return {.pool = MakePool(),
-            .run = MakeRun(),
-            .backend = backend,
-            .optimize = optimize};
+    return {.pool = MakePool(), .run = MakeRun(), .backend = backend};
   }
 
   // The run context already created by MakeRun, or null — for the explain
@@ -222,8 +210,7 @@ int Usage() {
                "       tms_cli show <file>\n"
                "flags: --threads=N | --deadline-ms=N | --max-answers=N | "
                "--budget=N |\n"
-               "       --backend=dense|sparse|auto | --optimize=off|auto|on "
-               "|\n"
+               "       --backend=dense|sparse|auto |\n"
                "       --stats | --stats=json | --stats=prom | --trace=FILE |\n"
                "       --explain | --flight-dump=off|stderr|FILE\n");
   return 2;
@@ -366,8 +353,7 @@ int RunBatch(const std::string& query_path,
 
   db::BatchEvaluator::Options options{.threads = exec->threads,
                                       .run = exec->MakeRun(),
-                                      .backend = exec->backend,
-                                      .optimize = exec->optimize};
+                                      .backend = exec->backend};
   auto batch = db::BatchEvaluator::Create(&collection, &t, options);
   if (!batch.ok()) return Fail(batch.status());
   const std::vector<db::BatchEvaluator::SequenceResult> results =
@@ -477,10 +463,6 @@ int RunDist(const std::string& query_path, int k, ExecOptions* exec,
   if (exec->backend != kernels::BackendChoice::kAuto) {
     options.params +=
         std::string("&backend=") + kernels::BackendChoiceName(exec->backend);
-  }
-  if (exec->optimize != optimize::Level::kAuto) {
-    options.params +=
-        std::string("&optimize=") + optimize::LevelName(exec->optimize);
   }
 
   dist::DistOutcome outcome =
@@ -603,8 +585,8 @@ bool ParseCountArg(const char* what, const std::string& arg, int* out) {
   return false;
 }
 
-// Strips --stats/--trace/--threads flags from args; returns false on a
-// malformed flag.
+// Strips the flags from args; returns false on a malformed or unknown
+// flag.
 bool ParseObsFlags(std::vector<std::string>* args, ObsOptions* opts,
                    ExecOptions* exec) {
   std::vector<std::string> rest;
@@ -656,25 +638,10 @@ bool ParseObsFlags(std::vector<std::string>* args, ObsOptions* opts,
           kernels::ParseBackendChoice(arg.substr(std::strlen("--backend=")));
       if (!choice.has_value()) return false;
       exec->backend = *choice;
-    } else if (arg.rfind("--optimize=", 0) == 0) {
-      auto level =
-          optimize::ParseLevel(arg.substr(std::strlen("--optimize=")));
-      if (!level.has_value()) {
-        std::fprintf(stderr, "error: invalid --optimize value in '%s'\n",
-                     arg.c_str());
-        return false;
-      }
-      exec->optimize = *level;
-    } else if (arg.rfind("--stats", 0) == 0 || arg.rfind("--trace", 0) == 0 ||
-               arg.rfind("--threads", 0) == 0 ||
-               arg.rfind("--workers", 0) == 0 ||
-               arg.rfind("--deadline-ms", 0) == 0 ||
-               arg.rfind("--max-answers", 0) == 0 ||
-               arg.rfind("--budget", 0) == 0 ||
-               arg.rfind("--backend", 0) == 0 ||
-               arg.rfind("--optimize", 0) == 0 ||
-               arg.rfind("--explain", 0) == 0 ||
-               arg.rfind("--flight-dump", 0) == 0) {
+    } else if (arg.rfind("--", 0) == 0) {
+      // A misspelled or retired flag is an error, never a silently
+      // ignored argument.
+      std::fprintf(stderr, "error: unknown flag '%s'\n", arg.c_str());
       return false;
     } else {
       rest.push_back(arg);

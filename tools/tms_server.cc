@@ -23,13 +23,10 @@
 //   --max-connections=N open-connection cap; excess connections get 503
 //   --backend=dense|sparse|auto  default kernel backend (per-request
 //                       ?backend= overrides)
-//   --optimize=off|auto|on  default query-automaton optimization level
-//                       (per-request ?optimize= overrides; byte-identical
-//                       streams at any level, docs/OPTIMIZE.md)
-//   --precompile=<model>:<name>=<query-file>  optimize the transducer
+//   --precompile=<model>:<name>=<query-file>  minimize the transducer
 //                       query offline at startup and serve it by name via
 //                       ?precompiled=<name> with an empty body; the
-//                       optimized machine persists as <query-file>.opt and
+//                       minimized machine persists as <query-file>.opt and
 //                       later cold starts load the artifact directly
 //                       (fingerprint-checked; corrupt artifacts recompile
 //                       with a loud optimize.artifact_rejected). May
@@ -55,7 +52,6 @@
 #include "common/parse.h"
 #include "exec/fault.h"
 #include "kernels/backend.h"
-#include "optimize/level.h"
 #include "obs/obs.h"
 #include "serve/registry.h"
 #include "serve/server.h"
@@ -69,8 +65,7 @@ int Usage() {
       stderr,
       "usage: tms_server [--port=N] [--host=ADDR] [--threads=N]\n"
       "                  [--max-inflight=N] [--max-connections=N]\n"
-      "                  [--backend=dense|sparse|auto] "
-      "[--optimize=off|auto|on]\n"
+      "                  [--backend=dense|sparse|auto]\n"
       "                  [--precompile=<model>:<name>=<query-file>]...\n"
       "                  [--port-file=PATH] <name>=<sequence-file>...\n");
   return 2;
@@ -133,14 +128,6 @@ int main(int argc, char** argv) {
         return Usage();
       }
       options.backend = *choice;
-    } else if (view.rfind("--optimize=", 0) == 0) {
-      auto level = optimize::ParseLevel(view.substr(11));
-      if (!level.has_value()) {
-        std::fprintf(stderr, "error: invalid --optimize value in '%s'\n",
-                     arg.c_str());
-        return Usage();
-      }
-      options.optimize = *level;
     } else if (view.rfind("--precompile=", 0) == 0) {
       const std::string spec = arg.substr(std::strlen("--precompile="));
       const size_t colon = spec.find(':');
@@ -198,8 +185,7 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "loaded model '%s'\n", name.c_str());
   }
   for (const auto& spec : precompile_specs) {
-    Status st = registry->Precompile(spec[0], spec[1], spec[2],
-                                     options.optimize);
+    Status st = registry->Precompile(spec[0], spec[1], spec[2]);
     if (!st.ok()) {
       std::fprintf(stderr, "error: %s\n", st.ToString().c_str());
       return 1;
