@@ -5,10 +5,15 @@
 // s-projector enumeration has polynomial delay (Theorem 5.11). The
 // reproduction tables record the realized delay distribution (max, p50,
 // p99) per engine and instance size via obs::DelayRecorder histograms;
-// BENCH_enumeration_delay.json is the machine-readable baseline.
+// BENCH_enumeration_delay.json is the machine-readable baseline. E12b and
+// E12c repeat the ranked streams at 1, 2 and 4 threads: E12b the bare
+// E_max engine, E12c the answer pipeline with each answer's exact
+// confidence. E12d checks the bounded-execution contract.
 
 #include <algorithm>
+#include <bit>
 #include <chrono>
+#include <cstdint>
 #include <memory>
 #include <string>
 #include <vector>
@@ -17,6 +22,7 @@
 #include <cstdlib>
 
 #include "bench_util.h"
+#include "common/check.h"
 #include "common/stopwatch.h"
 #include "exec/fault.h"
 #include "exec/run_context.h"
@@ -27,6 +33,7 @@
 #include "ranking/lawler.h"
 #include "projector/imax_enum.h"
 #include "projector/sprojector.h"
+#include "query/answers.h"
 #include "query/emax_enum.h"
 #include "query/unranked_enum.h"
 #include "workload/random_models.h"
@@ -255,6 +262,130 @@ void PrintMultiThread() {
   }
 }
 
+// A deterministic query whose outputs stay short on a long sequence:
+// every 16th symbol is marked with one of four classes, the first two
+// steps onto marked symbols emit their classes, and every other step is
+// silent. Its confidence is Theorem 4.6's DP.
+transducer::Transducer MarkedVisitQuery(const Alphabet& nodes) {
+  const int sigma = static_cast<int>(nodes.size());
+  transducer::Transducer t(nodes, workload::MakeSymbols(4, "c"), 3);
+  t.SetInitial(0);
+  for (int q = 0; q < 3; ++q) {
+    t.SetAccepting(q);
+    for (int s = 0; s < sigma; ++s) {
+      const bool visit = s % 16 == 5 && q < 2;
+      Str out;
+      if (visit) out.push_back(static_cast<Symbol>((s / 16) % 4));
+      TMS_CHECK(t.AddTransition(q, static_cast<Symbol>(s), visit ? q + 1 : q,
+                                std::move(out))
+                    .ok());
+    }
+  }
+  return t;
+}
+
+bool SameAnswers(const std::vector<query::AnswerInfo>& a,
+                 const std::vector<query::AnswerInfo>& b) {
+  if (a.size() != b.size()) return false;
+  for (size_t i = 0; i < a.size(); ++i) {
+    if (a[i].output != b[i].output ||
+        std::bit_cast<uint64_t>(a[i].emax) !=
+            std::bit_cast<uint64_t>(b[i].emax) ||
+        std::bit_cast<uint64_t>(a[i].confidence) !=
+            std::bit_cast<uint64_t>(b[i].confidence)) {
+      return false;
+    }
+  }
+  return true;
+}
+
+// The answer pipeline — E_max order plus each answer's exact confidence,
+// the stream /query serves — on a long sparse instance at several thread
+// counts. With a pool, each answer's confidence DP runs beside the child
+// solves of its pop, so the per-answer delay approaches the larger of the
+// two instead of their sum. Every drain must emit the sequential stream
+// bit for bit (outputs, E_max and confidence); returns false otherwise.
+bool PrintPipeline() {
+  bench::PrintHeader(
+      "E12c: answer-pipeline per-answer delay vs thread count (confidence "
+      "included)",
+      "each answer's exact confidence runs beside its Lawler pop's child "
+      "solves on the pool: the stream (outputs, E_max and confidence bits) "
+      "is identical at every thread count while the per-answer delay "
+      "drops.");
+
+  constexpr int kSigma = 256;
+  constexpr int kLength = 1024;
+  constexpr int kAnswers = 10;
+  constexpr int kDrains = 3;
+  Rng rng(307);
+  const markov::MarkovSequence mu = workload::RandomHomogeneousMarkovSequence(
+      kSigma, kLength, kSigma / 20, rng);
+  const transducer::Transducer t = MarkedVisitQuery(mu.nodes());
+
+  std::printf("%-8s %-8s %-10s %-12s %-12s %-12s %-10s\n", "threads",
+              "answers", "drains", "p50 (ms)", "max (ms)", "total (ms)",
+              "identical");
+  bool ok = true;
+  std::vector<query::AnswerInfo> reference;
+  for (int threads : {1, 2, 4}) {
+    std::unique_ptr<exec::ThreadPool> pool;
+    if (threads > 1) pool = std::make_unique<exec::ThreadPool>(threads - 1);
+    std::vector<double> delays_ms;
+    std::vector<double> totals_ms;
+    bool identical = true;
+    size_t answers = 0;
+    for (int drain = 0; drain < kDrains; ++drain) {
+      std::vector<query::AnswerInfo> got;
+      RunAsQuery("pipeline.threads=" + std::to_string(threads), threads, [&] {
+        auto pipeline = query::AnswerPipeline::Create(
+            mu, t, query::AnswerMode::kRanked, {.pool = pool.get()});
+        TMS_CHECK(pipeline.ok());
+        Stopwatch lap;
+        double total_ms = 0.0;
+        while (static_cast<int>(got.size()) < kAnswers) {
+          auto answer = pipeline->Next();
+          TMS_CHECK(answer.ok());
+          if (!answer->has_value()) break;
+          const double delay_ms = lap.LapSeconds() * 1e3;
+          delays_ms.push_back(delay_ms);
+          total_ms += delay_ms;
+          got.push_back(std::move(**answer));
+        }
+        totals_ms.push_back(total_ms);
+      });
+      if (reference.empty()) reference = got;
+      identical = identical && SameAnswers(got, reference);
+      answers = got.size();
+    }
+    std::sort(delays_ms.begin(), delays_ms.end());
+    std::sort(totals_ms.begin(), totals_ms.end());
+    const double p50_ms = delays_ms.empty() ? 0.0
+                                            : delays_ms[delays_ms.size() / 2];
+    const double max_ms = delays_ms.empty() ? 0.0 : delays_ms.back();
+    const double total_ms = totals_ms[totals_ms.size() / 2];
+    std::printf("%-8d %-8zu %-10d %-12.3f %-12.3f %-12.3f %-10s\n", threads,
+                answers, kDrains, p50_ms, max_ms, total_ms,
+                identical ? "yes" : "NO");
+    const std::string prefix =
+        "pipeline.threads=" + std::to_string(threads) + ".";
+    bench::Report::Global().AddMetric(prefix + "answers",
+                                      static_cast<double>(answers));
+    bench::Report::Global().AddMetric(prefix + "p50_delay_ms", p50_ms);
+    bench::Report::Global().AddMetric(prefix + "max_delay_ms", max_ms);
+    bench::Report::Global().AddMetric(prefix + "total_ms", total_ms);
+    bench::Report::Global().AddMetric(prefix + "identical",
+                                      identical ? 1.0 : 0.0);
+    if (!identical) {
+      ok = false;
+      bench::Report::Global().AddSkip(
+          "E12c: thread count " + std::to_string(threads) +
+          " diverged from the sequential answer pipeline");
+    }
+  }
+  return ok;
+}
+
 bool IsPrefixOf(const std::vector<ranking::ScoredAnswer>& prefix,
                 const std::vector<ranking::ScoredAnswer>& stream) {
   if (prefix.size() > stream.size()) return false;
@@ -277,7 +408,7 @@ bool IsPrefixOf(const std::vector<ranking::ScoredAnswer>& prefix,
 // binary then exits nonzero.
 bool PrintBounded() {
   bench::PrintHeader(
-      "E12c: bounded execution (deadline overshoot, budget truncation)",
+      "E12d: bounded execution (deadline overshoot, budget truncation)",
       "a fired limit stops the stream at the next answer boundary: the "
       "truncated stream is a byte-identical prefix of the unbounded one "
       "at every thread count, and a deadline is overrun by at most one "
@@ -348,7 +479,7 @@ bool PrintBounded() {
                                       static_cast<double>(answers.size()));
     if (!run.truncated()) {
       bench::Report::Global().AddSkip(
-          "E12c: stream exhausted before the deadline fired; overshoot not "
+          "E12d: stream exhausted before the deadline fired; overshoot not "
           "measured");
     } else if (!within || !prefix) {
       ok = false;
@@ -397,7 +528,7 @@ bool PrintBounded() {
       if (!prefix || !identical) {
         ok = false;
         bench::Report::Global().AddSkip(
-            "E12c: budget " + std::to_string(budget) + " at " +
+            "E12d: budget " + std::to_string(budget) + " at " +
             std::to_string(threads) +
             " threads diverged from the unbounded stream");
       }
@@ -440,13 +571,16 @@ bool PrintBounded() {
 
 // Unlike the other benches this one registers no google-benchmark cases:
 // the delay distributions above are the whole measurement. E12c asserts
-// the bounded-execution contract — a violated deadline-overshoot bound or
-// a non-prefix truncated stream fails the binary.
+// that the answer pipeline's stream is the same at every thread count and
+// E12d the bounded-execution contract — a diverged pipeline stream, a
+// violated deadline-overshoot bound or a non-prefix truncated stream fails
+// the binary.
 int main() {
   tms::bench::Session session("enumeration_delay");
   tms::PrintReproduction();
   tms::PrintMultiThread();
+  bool pipeline_ok = tms::PrintPipeline();
   bool bounded_ok = tms::PrintBounded();
   bool sidecar_ok = tms::WriteExplainSidecar();
-  return bounded_ok && sidecar_ok ? 0 : 1;
+  return pipeline_ok && bounded_ok && sidecar_ok ? 0 : 1;
 }

@@ -30,7 +30,8 @@
 // current on the thread — to that query's private registry, so per-query
 // attribution composes with the existing process totals. A thread with no
 // scope pays one thread-local load and a not-taken branch for the second
-// leg.
+// leg. The value operand is evaluated once, so both legs record the same
+// sample even when it has side effects (e.g. `Stopwatch::Lap()`).
 
 /// Adds `delta` to the counter `name` (a string literal).
 #define TMS_OBS_COUNT(name, delta)                                     \
@@ -38,8 +39,9 @@
     static ::tms::obs::Counter& TMS_OBS_CONCAT_(tms_obs_counter_,      \
                                                 __LINE__) =            \
         ::tms::obs::Registry::Global().counter(name);                  \
-    TMS_OBS_CONCAT_(tms_obs_counter_, __LINE__).Add(delta);            \
-    ::tms::obs::QueryScope::AddCount(name, delta);                     \
+    const int64_t tms_obs_delta_ = static_cast<int64_t>(delta);        \
+    TMS_OBS_CONCAT_(tms_obs_counter_, __LINE__).Add(tms_obs_delta_);   \
+    ::tms::obs::QueryScope::AddCount(name, tms_obs_delta_);            \
   } while (0)
 
 /// Sets the gauge `name` to `value`.
@@ -48,10 +50,9 @@
     static ::tms::obs::Gauge& TMS_OBS_CONCAT_(tms_obs_gauge_,          \
                                               __LINE__) =              \
         ::tms::obs::Registry::Global().gauge(name);                    \
-    TMS_OBS_CONCAT_(tms_obs_gauge_, __LINE__)                          \
-        .Set(static_cast<double>(value));                              \
-    ::tms::obs::QueryScope::SetGauge(name,                             \
-                                     static_cast<double>(value));      \
+    const double tms_obs_value_ = static_cast<double>(value);          \
+    TMS_OBS_CONCAT_(tms_obs_gauge_, __LINE__).Set(tms_obs_value_);     \
+    ::tms::obs::QueryScope::SetGauge(name, tms_obs_value_);            \
   } while (0)
 
 /// Records `value` into the histogram `name`.
@@ -60,10 +61,9 @@
     static ::tms::obs::Histogram& TMS_OBS_CONCAT_(tms_obs_hist_,       \
                                                   __LINE__) =          \
         ::tms::obs::Registry::Global().histogram(name);                \
-    TMS_OBS_CONCAT_(tms_obs_hist_, __LINE__)                           \
-        .Record(static_cast<int64_t>(value));                          \
-    ::tms::obs::QueryScope::RecordHistogram(                           \
-        name, static_cast<int64_t>(value));                           \
+    const int64_t tms_obs_value_ = static_cast<int64_t>(value);        \
+    TMS_OBS_CONCAT_(tms_obs_hist_, __LINE__).Record(tms_obs_value_);   \
+    ::tms::obs::QueryScope::RecordHistogram(name, tms_obs_value_);     \
   } while (0)
 
 /// Opens an RAII trace span covering the rest of the enclosing scope.

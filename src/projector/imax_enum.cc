@@ -91,9 +91,10 @@ StatusOr<ImaxEnumerator> ImaxEnumerator::WithOwnedInputs(
                         options);
 }
 
-std::optional<ranking::ScoredAnswer> ImaxEnumerator::Next() {
+std::optional<ranking::ScoredAnswer> ImaxEnumerator::NextWith(
+    const ranking::AnswerTask& task) {
   obs::ScopeAdoption adopt(obs_ctx_);
-  auto answer = lawler_->Next();
+  auto answer = lawler_->NextWith(task);
   if (answer.has_value()) {
     TMS_OBS_COUNT("projector.imax_enum.answers", 1);
     delay_.RecordAnswer();

@@ -62,7 +62,14 @@ class ImaxEnumerator : public ranking::AnswerStream {
       const exec::EngineOptions& options = {});
 
   /// The next answer (score = its I_max), or nullopt when exhausted.
-  std::optional<ranking::ScoredAnswer> Next() override;
+  std::optional<ranking::ScoredAnswer> Next() override {
+    return NextWith(ranking::AnswerTask());
+  }
+
+  /// Next(), with `task` run on the answer beside the pop's child solves
+  /// when the engine has a pool (ranking::LawlerEnumerator::NextWith).
+  std::optional<ranking::ScoredAnswer> NextWith(
+      const ranking::AnswerTask& task) override;
 
  private:
   struct State;

@@ -86,28 +86,37 @@ StatusOr<double> AnswerPipeline::Confidence(const Str& o) const {
 }
 
 StatusOr<std::optional<AnswerInfo>> AnswerPipeline::Next() {
-  std::optional<ranking::ScoredAnswer> answer = stream_->Next();
-  if (!answer.has_value()) return std::optional<AnswerInfo>();
-  AnswerInfo info{std::move(answer->output), answer->score, 0.0};
   if (mode_ == AnswerMode::kEnum) {
-    return std::optional<AnswerInfo>(std::move(info));
+    std::optional<ranking::ScoredAnswer> answer = stream_->Next();
+    if (!answer.has_value()) return std::optional<AnswerInfo>();
+    return std::optional<AnswerInfo>(
+        AnswerInfo{std::move(answer->output), answer->score, 0.0});
   }
-#if TMS_OBS_ACTIVE
-  const int64_t confidence_start_ns = obs::MonotonicNanos();
-#endif
-  StatusOr<double> confidence = Confidence(info.output);
+  // The confidence is a pure function of (μ, query, answer), so the stream
+  // may compute it beside the pop's child solves, on any pool thread.
+  StatusOr<double> confidence = 0.0;
+  int64_t confidence_ns = 0;
+  auto confidence_task = [this, &confidence, &confidence_ns](
+                             const ranking::ScoredAnswer& answer) {
+    const int64_t start_ns = obs::MonotonicNanos();
+    confidence = Confidence(answer.output);
+    confidence_ns = obs::MonotonicNanos() - start_ns;
+  };
+  std::optional<ranking::ScoredAnswer> answer =
+      stream_->NextWith(ranking::AnswerTask(confidence_task));
+  if (!answer.has_value()) return std::optional<AnswerInfo>();
   if (!confidence.ok()) return confidence.status();
-  info.confidence = *confidence;
+  AnswerInfo info{std::move(answer->output), answer->score, *confidence};
   if (mode_ == AnswerMode::kRanked) {
     TMS_OBS_COUNT("query.topk.confidence_calls", 1);
-    TMS_OBS_HISTOGRAM("query.topk.confidence_ns",
-                      obs::MonotonicNanos() - confidence_start_ns);
+    TMS_OBS_HISTOGRAM("query.topk.confidence_ns", confidence_ns);
     TMS_OBS_COUNT("query.topk.answers", 1);
     delay_->RecordAnswer();
   } else {
     TMS_OBS_COUNT("query.twostep.confidence_calls", 1);
     TMS_OBS_COUNT("query.twostep.answers", 1);
   }
+  (void)confidence_ns;  // unread in the compiled-out build
   return std::optional<AnswerInfo>(std::move(info));
 }
 

@@ -5,7 +5,10 @@
 // s-projector (Theorem 5.2), each carrying its exact confidence
 // (Theorems 4.6–4.9, 5.5). AnswerPipeline is that stream. It builds the
 // engine through query::MakeEnumerator, attaches the confidence of every
-// answer it emits, and records the `query.topk.*` metrics. tms_server's
+// answer it emits, and records the `query.topk.*` metrics. It hands each
+// confidence to the engine as a side task (ranking::AnswerStream::
+// NextWith), so a ranked engine with a pool computes it beside the child
+// solves of the pop that produced the answer. tms_server's
 // /query, tms_cli's topk / enum / explain, and query::Evaluator (hence
 // db::BatchEvaluator, /batch and db::SequenceCollection) all pull their
 // answers from it, so every ranked stream is computed and measured by

@@ -81,9 +81,10 @@ EmaxEnumerator EmaxEnumerator::WithOwnedInputs(
   return EmaxEnumerator(std::move(state), options);
 }
 
-std::optional<ranking::ScoredAnswer> EmaxEnumerator::Next() {
+std::optional<ranking::ScoredAnswer> EmaxEnumerator::NextWith(
+    const ranking::AnswerTask& task) {
   obs::ScopeAdoption adopt(obs_ctx_);
-  auto answer = lawler_->Next();
+  auto answer = lawler_->NextWith(task);
   if (answer.has_value()) {
     TMS_OBS_COUNT("query.emax_enum.answers", 1);
     delay_.RecordAnswer();

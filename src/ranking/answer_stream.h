@@ -17,6 +17,11 @@
 //   * Under a bounded exec::RunContext the emitted answers are an exact
 //     prefix of the unbounded stream (see docs/ROBUSTNESS.md).
 //   * Next() is not thread-safe; one consumer at a time.
+//   * NextWith(task) is Next() plus `task` run once on the answer it
+//     returns, before it returns. Lawler-based ranked engines with a pool
+//     run the task beside the popped answer's child solves; every other
+//     stream runs it after finding the answer. The answer is the same
+//     either way (query::AnswerPipeline passes each answer's confidence).
 //
 // Borrow-vs-own construction contract (uniform across engines):
 //   * Plain constructors / Create() overloads BORROW their model inputs
@@ -44,6 +49,29 @@ struct ScoredAnswer {
   double score = 0.0;
 };
 
+/// Work to run on an answer (AnswerStream::NextWith). A borrowed callable:
+/// a function pointer plus the callable's address, so handing one to a
+/// stream allocates nothing. The callable must outlive the NextWith call;
+/// a lambda written inline in that call does.
+class AnswerTask {
+ public:
+  /// No task.
+  AnswerTask() = default;
+
+  template <typename Fn>
+  explicit AnswerTask(const Fn& fn)
+      : fn_(&fn), call_([](const void* f, const ScoredAnswer& answer) {
+          (*static_cast<const Fn*>(f))(answer);
+        }) {}
+
+  explicit operator bool() const { return call_ != nullptr; }
+  void operator()(const ScoredAnswer& answer) const { call_(fn_, answer); }
+
+ private:
+  const void* fn_ = nullptr;
+  void (*call_)(const void*, const ScoredAnswer&) = nullptr;
+};
+
 /// Pull-stream interface implemented by all enumeration engines.
 class AnswerStream {
  public:
@@ -52,6 +80,16 @@ class AnswerStream {
   /// The next answer, or nullopt when exhausted (or truncated by the
   /// engine's RunContext); nullopt is sticky.
   virtual std::optional<ScoredAnswer> Next() = 0;
+
+  /// Next(), with `task` (if any) run exactly once on the answer it
+  /// returns and never when it returns nullopt. The task may run on a
+  /// pool thread concurrently with the engine's own work, so it must
+  /// write nothing but its own result. This default runs it after Next().
+  virtual std::optional<ScoredAnswer> NextWith(const AnswerTask& task) {
+    std::optional<ScoredAnswer> answer = Next();
+    if (answer.has_value() && task) task(*answer);
+    return answer;
+  }
 };
 
 }  // namespace tms::ranking

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <functional>
 
 #include "exec/fault.h"
 #include "obs/obs.h"
@@ -45,7 +46,7 @@ std::optional<ScoredAnswer> LawlerEnumerator::Solve(
   return best;
 }
 
-std::optional<ScoredAnswer> LawlerEnumerator::Next() {
+std::optional<ScoredAnswer> LawlerEnumerator::NextWith(const AnswerTask& task) {
   obs::ScopeAdoption adopt(obs_ctx_);
   TMS_OBS_SPAN("ranking.lawler.next");
   // Answer boundary: a stopped run returns nullopt forever after, leaving
@@ -59,20 +60,27 @@ std::optional<ScoredAnswer> LawlerEnumerator::Next() {
   std::vector<OutputConstraint> children =
       top.constraint.PartitionAfter(top.answer.output);
   const int64_t fanout = static_cast<int64_t>(children.size());
-  // The children are independent solver calls; fan them out, then push the
-  // survivors in child order so the heap is the same one the sequential
-  // engine builds.
-  std::vector<std::optional<ScoredAnswer>> solved;
-  if (pool_ != nullptr && fanout > 1) {
-    solved = pool_->ParallelMap<std::optional<ScoredAnswer>>(
-        fanout, [this, &children](int64_t i) {
-          return Solve(children[static_cast<size_t>(i)]);
-        });
-  } else {
-    solved.reserve(children.size());
-    for (const OutputConstraint& child : children) {
-      solved.push_back(Solve(child));
+  // The children are independent solver calls, and the task reads only
+  // the popped answer; fan them all out, then push the survivors in child
+  // order so the heap is the same one the sequential engine builds.
+  std::vector<std::optional<ScoredAnswer>> solved(children.size());
+  const int64_t side = task ? 1 : 0;
+  const int64_t items = side + fanout;
+  auto run_item = [&](int64_t i) {
+    if (i < side) {
+      task(top.answer);
+    } else {
+      const size_t c = static_cast<size_t>(i - side);
+      solved[c] = Solve(children[c]);
     }
+  };
+  if (pool_ != nullptr && items > 1) {
+    // By reference, so the pool's std::function allocates nothing.
+    pool_->ParallelFor(items, std::cref(run_item));
+  } else {
+    // Sequentially: the children first, then the task.
+    for (int64_t i = side; i < items; ++i) run_item(i);
+    if (side == 1) run_item(0);
   }
 #if TMS_OBS_ACTIVE
   const int64_t merge_start_ns = obs::MonotonicNanos();

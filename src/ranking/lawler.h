@@ -54,6 +54,12 @@ using SubspaceSolver =
 /// subspaces are disjoint, so outputs are unique and break every score
 /// tie.)
 ///
+/// NextWith(task) runs `task` on the popped answer as one more item of the
+/// same fork-join: item 0, so the often longest item starts first. The
+/// answer is fixed at the pop, so the task needs nothing from the
+/// children. Without a pool the children are solved first, then the task
+/// runs — the order a caller running it after Next() sees.
+///
 /// With a RunContext, the run is bounded: every subspace solve charges one
 /// work unit, and Next() stops — returning nullopt forever after — once a
 /// deadline, the answer cap, the budget, or a cancellation fires. The
@@ -78,7 +84,12 @@ class LawlerEnumerator : public AnswerStream {
       : LawlerEnumerator(std::move(solver), options.pool, options.run) {}
 
   /// The next best answer, or nullopt when the space is exhausted.
-  std::optional<ScoredAnswer> Next() override;
+  std::optional<ScoredAnswer> Next() override {
+    return NextWith(AnswerTask());
+  }
+
+  /// Next(), with `task` run on the popped answer beside the child solves.
+  std::optional<ScoredAnswer> NextWith(const AnswerTask& task) override;
 
  private:
   struct Entry {

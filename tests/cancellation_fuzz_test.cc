@@ -10,7 +10,9 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <chrono>
+#include <cstdint>
 #include <optional>
 #include <string>
 #include <vector>
@@ -19,8 +21,10 @@
 #include "exec/fault.h"
 #include "exec/run_context.h"
 #include "exec/thread_pool.h"
+#include "obs/config.h"
 #include "projector/imax_enum.h"
 #include "projector/sprojector.h"
+#include "query/answers.h"
 #include "query/emax_enum.h"
 #include "query/unranked_enum.h"
 #include "test_util.h"
@@ -128,6 +132,10 @@ TEST_F(CancellationFuzzTest, RankedEngineSurvivesResourceFailures) {
     Instance inst = RandomInstance(rng);
     const std::vector<ranking::ScoredAnswer> full =
         DrainEmax(inst, nullptr, nullptr);
+    int64_t full_calls = 0;
+    auto full_pipeline =
+        testing::DrainRankedPipeline(inst.mu, inst.t, {}, &full_calls);
+    ASSERT_TRUE(full_pipeline.ok()) << full_pipeline.status();
     const std::string& point =
         points[static_cast<size_t>(rng.UniformInt(0, 1))];
     const int64_t nth = rng.UniformInt(1, 5);
@@ -149,6 +157,32 @@ TEST_F(CancellationFuzzTest, RankedEngineSurvivesResourceFailures) {
       } else {
         EXPECT_EQ(bounded.size(), full.size());
       }
+
+      // The same failure under the answer pipeline: the confidences pass
+      // no fault point, so it stops after the same answer, and it ran a
+      // confidence DP for exactly the answers it returned.
+      exec::RunContext pipeline_run;
+      int64_t confidence_calls = 0;
+      exec::FaultInjector::Global().ScheduleFailure(point, nth);
+      auto piped = testing::DrainRankedPipeline(
+          inst.mu, inst.t,
+          {.pool = pool ? &*pool : nullptr, .run = &pipeline_run},
+          &confidence_calls);
+      exec::FaultInjector::Global().Reset();
+      ASSERT_TRUE(piped.ok()) << piped.status();
+      ASSERT_EQ(piped->size(), bounded.size());
+      ASSERT_LE(piped->size(), full_pipeline->size());
+      EXPECT_EQ(pipeline_run.stop_reason(), run.stop_reason());
+      for (size_t i = 0; i < piped->size(); ++i) {
+        EXPECT_EQ((*piped)[i].output, (*full_pipeline)[i].output)
+            << "answer " << i;
+        EXPECT_EQ(std::bit_cast<uint64_t>((*piped)[i].confidence),
+                  std::bit_cast<uint64_t>((*full_pipeline)[i].confidence))
+            << "answer " << i;
+      }
+#if TMS_OBS_ACTIVE
+      EXPECT_EQ(confidence_calls, static_cast<int64_t>(piped->size()));
+#endif
     }
   }
 }

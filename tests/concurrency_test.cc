@@ -5,9 +5,13 @@
 //
 // These tests carry the ctest label `concurrency`; run them under
 // ThreadSanitizer with -DTMS_SANITIZE=thread and `ctest -L concurrency`.
+// ParallelPipelineTest covers the answer pipeline on a pool, where each
+// answer's confidence runs beside its pop's child solves.
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
 #include <limits>
 #include <optional>
 #include <set>
@@ -22,6 +26,7 @@
 #include "optimize/transducer_opt.h"
 #include "projector/imax_enum.h"
 #include "projector/sprojector.h"
+#include "query/answers.h"
 #include "query/emax_enum.h"
 #include "ranking/lawler.h"
 #include "ranking/prefix_constraint.h"
@@ -138,6 +143,137 @@ TEST(ParallelImaxTest, ByteIdenticalAtEveryThreadCount) {
     ExpectIdenticalStreams(seq, drain(&pool8),
                            "imax threads=8 trial " + std::to_string(trial));
   }
+}
+
+// ---------------------------------------------------------------------------
+// The answer pipeline on a pool: each answer's confidence is a side task
+// of the pop that produced it (ranking::AnswerStream::NextWith), run on
+// any pool thread beside the child solves.
+
+// The query::Confidence algorithm a transducer's answers take.
+enum class ConfidencePath {
+  kDeterministic,         // Theorem 4.6, on the requested kernel backend
+  kDeterministicUniform,  // Theorem 4.6's uniform fast path
+  kUniformSubset,         // Theorem 4.8
+  kExact,                 // the general exact DP
+};
+
+ConfidencePath PathOf(const Transducer& t) {
+  const bool uniform = t.UniformEmissionLength().has_value();
+  if (t.IsDeterministic()) {
+    return uniform ? ConfidencePath::kDeterministicUniform
+                   : ConfidencePath::kDeterministic;
+  }
+  return uniform && t.num_states() <= 63 ? ConfidencePath::kUniformSubset
+                                         : ConfidencePath::kExact;
+}
+
+// A random transducer whose confidence takes `path`.
+Transducer DrawForPath(const Alphabet& nodes, ConfidencePath path, Rng& rng) {
+  workload::RandomTransducerOptions opts;
+  opts.num_states = 3;
+  opts.max_emission = 2;
+  opts.output_symbols = 2;
+  opts.deterministic = path == ConfidencePath::kDeterministic ||
+                       path == ConfidencePath::kDeterministicUniform;
+  if (path == ConfidencePath::kDeterministicUniform ||
+      path == ConfidencePath::kUniformSubset) {
+    opts.uniform_k = 1;
+  }
+  for (int draw = 0; draw < 100; ++draw) {
+    Transducer t = workload::RandomTransducer(nodes, opts, rng);
+    if (PathOf(t) == path) return t;
+  }
+  ADD_FAILURE() << "no draw took confidence path " << static_cast<int>(path);
+  return workload::RandomTransducer(nodes, opts, rng);
+}
+
+template <typename Q>
+std::vector<query::AnswerInfo> DrainPipeline(const markov::MarkovSequence& mu,
+                                             const Q& q,
+                                             exec::EngineOptions options) {
+  auto pipeline = query::AnswerPipeline::Create(
+      mu, q, query::AnswerMode::kRanked, options);
+  EXPECT_TRUE(pipeline.ok()) << pipeline.status();
+  if (!pipeline.ok()) return {};
+  auto answers = pipeline->Take(60);
+  EXPECT_TRUE(answers.ok()) << answers.status();
+  return answers.ok() ? std::move(*answers) : std::vector<query::AnswerInfo>{};
+}
+
+uint64_t Bits(double x) { return std::bit_cast<uint64_t>(x); }
+
+void ExpectIdenticalAnswers(const std::vector<query::AnswerInfo>& a,
+                            const std::vector<query::AnswerInfo>& b,
+                            const std::string& label) {
+  ASSERT_EQ(a.size(), b.size()) << label;
+  for (size_t i = 0; i < a.size(); ++i) {
+    EXPECT_EQ(a[i].output, b[i].output) << label << " rank " << i;
+    EXPECT_EQ(Bits(a[i].emax), Bits(b[i].emax)) << label << " rank " << i;
+    EXPECT_EQ(Bits(a[i].confidence), Bits(b[i].confidence))
+        << label << " rank " << i;
+  }
+}
+
+TEST(ParallelPipelineTest,
+     RankedStreamWithConfidenceByteIdenticalAtEveryThreadCount) {
+  Rng rng(1919);
+  exec::ThreadPool pool2(1);  // --threads=2
+  exec::ThreadPool pool8(7);  // --threads=8
+  struct Case {
+    const char* name;
+    ConfidencePath path;
+    kernels::BackendChoice backend;
+  };
+  const Case cases[] = {
+      {"thm4.6 dense", ConfidencePath::kDeterministic,
+       kernels::BackendChoice::kDense},
+      {"thm4.6 sparse", ConfidencePath::kDeterministic,
+       kernels::BackendChoice::kSparse},
+      {"thm4.6 uniform", ConfidencePath::kDeterministicUniform,
+       kernels::BackendChoice::kAuto},
+      {"thm4.8 subset", ConfidencePath::kUniformSubset,
+       kernels::BackendChoice::kAuto},
+      {"exact", ConfidencePath::kExact, kernels::BackendChoice::kAuto},
+  };
+  for (const Case& c : cases) {
+    size_t answers = 0;
+    for (int trial = 0; trial < 3; ++trial) {
+      const std::string label =
+          std::string(c.name) + " trial " + std::to_string(trial);
+      markov::MarkovSequence mu = RandomMu(rng);
+      Transducer t = DrawForPath(mu.nodes(), c.path, rng);
+      std::vector<query::AnswerInfo> seq =
+          DrainPipeline(mu, t, {.backend = c.backend});
+      answers += seq.size();
+      ExpectIdenticalAnswers(
+          seq, DrainPipeline(mu, t, {.pool = &pool2, .backend = c.backend}),
+          label + " threads=2");
+      ExpectIdenticalAnswers(
+          seq, DrainPipeline(mu, t, {.pool = &pool8, .backend = c.backend}),
+          label + " threads=8");
+    }
+    EXPECT_GT(answers, 0u) << c.name << ": no answers to compare";
+  }
+
+  // One s-projector stream: I_max order, SProjectorConfidence.
+  markov::MarkovSequence mu = RandomMu(rng, 5);
+  std::optional<projector::SProjector> p;
+  std::vector<query::AnswerInfo> seq;
+  for (int draw = 0; draw < 20 && seq.empty(); ++draw) {
+    auto drawn = projector::SProjector::Create(
+        workload::RandomDfa(mu.nodes(), 2, rng, 0.6),
+        workload::RandomDfa(mu.nodes(), 2, rng, 0.6),
+        workload::RandomDfa(mu.nodes(), 2, rng, 0.6));
+    ASSERT_TRUE(drawn.ok());
+    p.emplace(std::move(*drawn));
+    seq = DrainPipeline(mu, *p, {});
+  }
+  ASSERT_FALSE(seq.empty()) << "no s-projector with answers";
+  ExpectIdenticalAnswers(seq, DrainPipeline(mu, *p, {.pool = &pool2}),
+                         "s-projector threads=2");
+  ExpectIdenticalAnswers(seq, DrainPipeline(mu, *p, {.pool = &pool8}),
+                         "s-projector threads=8");
 }
 
 // ---------------------------------------------------------------------------

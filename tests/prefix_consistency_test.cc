@@ -4,13 +4,17 @@
 // every thread count, for every enumeration engine. Small instances are
 // additionally cross-checked against the possible-world ground truth so
 // "prefix of the unbounded stream" also means "prefix of the right
-// stream". Run just these suites with `ctest -L robustness`; seeds obey
-// TMS_TEST_SEED (see testing::TestSeed).
+// stream". The answer-cap and budget cases also drain the answer pipeline,
+// whose confidences run beside each pop's child solves on a pool. Run
+// just these suites with `ctest -L robustness`; seeds obey TMS_TEST_SEED
+// (see testing::TestSeed).
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <chrono>
+#include <cstdint>
 #include <limits>
 #include <optional>
 #include <set>
@@ -19,8 +23,10 @@
 #include "common/rng.h"
 #include "exec/run_context.h"
 #include "exec/thread_pool.h"
+#include "obs/config.h"
 #include "projector/imax_enum.h"
 #include "projector/sprojector.h"
+#include "query/answers.h"
 #include "query/emax_enum.h"
 #include "query/unranked_enum.h"
 #include "test_util.h"
@@ -85,6 +91,38 @@ void ExpectPrefix(const std::vector<ranking::ScoredAnswer>& prefix,
   }
 }
 
+// The ranked answer pipeline over `inst`, bounded by `run`. Checks that
+// it computed a confidence for exactly the answers it returned: none for
+// a pop whose answer a stop withheld.
+std::vector<query::AnswerInfo> DrainPipeline(const Instance& inst,
+                                             exec::ThreadPool* pool,
+                                             exec::RunContext* run) {
+  int64_t confidence_calls = 0;
+  auto answers = testing::DrainRankedPipeline(
+      inst.mu, inst.t, {.pool = pool, .run = run}, &confidence_calls);
+  EXPECT_TRUE(answers.ok()) << answers.status();
+  if (!answers.ok()) return {};
+#if TMS_OBS_ACTIVE
+  EXPECT_EQ(confidence_calls, static_cast<int64_t>(answers->size()));
+#endif
+  return std::move(*answers);
+}
+
+// Byte-identical prefix, confidences included.
+void ExpectPipelinePrefix(const std::vector<query::AnswerInfo>& prefix,
+                          const std::vector<query::AnswerInfo>& full) {
+  ASSERT_LE(prefix.size(), full.size());
+  for (size_t i = 0; i < prefix.size(); ++i) {
+    EXPECT_EQ(prefix[i].output, full[i].output) << "answer " << i;
+    EXPECT_EQ(std::bit_cast<uint64_t>(prefix[i].emax),
+              std::bit_cast<uint64_t>(full[i].emax))
+        << "answer " << i;
+    EXPECT_EQ(std::bit_cast<uint64_t>(prefix[i].confidence),
+              std::bit_cast<uint64_t>(full[i].confidence))
+        << "answer " << i;
+  }
+}
+
 TEST(PrefixConsistencyTest, AnswerCapYieldsExactPrefixAtEveryThreadCount) {
   const uint64_t seed = testing::TestSeed(8101);
   SCOPED_TRACE(testing::SeedTrace(seed));
@@ -93,6 +131,8 @@ TEST(PrefixConsistencyTest, AnswerCapYieldsExactPrefixAtEveryThreadCount) {
     Instance inst = RandomInstance(rng);
     const std::vector<ranking::ScoredAnswer> full =
         DrainEmax(inst, nullptr, nullptr);
+    const std::vector<query::AnswerInfo> full_pipeline =
+        DrainPipeline(inst, nullptr, nullptr);
     for (int threads : {1, 2, 8}) {
       std::optional<exec::ThreadPool> pool;
       if (threads > 1) pool.emplace(threads - 1);
@@ -108,6 +148,14 @@ TEST(PrefixConsistencyTest, AnswerCapYieldsExactPrefixAtEveryThreadCount) {
         if (cap < full.size()) {
           EXPECT_TRUE(run.truncated());
         }
+
+        exec::RunContext pipeline_run;
+        pipeline_run.set_max_answers(static_cast<int64_t>(cap));
+        std::vector<query::AnswerInfo> piped =
+            DrainPipeline(inst, pool ? &*pool : nullptr, &pipeline_run);
+        ASSERT_EQ(piped.size(), bounded.size())
+            << "pipeline threads=" << threads << " cap=" << cap;
+        ExpectPipelinePrefix(piped, full_pipeline);
       }
     }
   }
@@ -121,6 +169,8 @@ TEST(PrefixConsistencyTest, BudgetTruncationIsDeterministicAcrossThreads) {
     Instance inst = RandomInstance(rng);
     const std::vector<ranking::ScoredAnswer> full =
         DrainEmax(inst, nullptr, nullptr);
+    const std::vector<query::AnswerInfo> full_pipeline =
+        DrainPipeline(inst, nullptr, nullptr);
     for (int64_t budget : {int64_t{1}, int64_t{3}, int64_t{8}, int64_t{50}}) {
       // The per-pop charge totals are thread-count-independent, so the pop
       // at which the pool drains — and hence the emitted answer count — is
@@ -139,6 +189,18 @@ TEST(PrefixConsistencyTest, BudgetTruncationIsDeterministicAcrossThreads) {
           EXPECT_EQ(run.status().code(), StatusCode::kBudgetExhausted);
         }
         EXPECT_LE(run.work_charged(), budget);
+
+        // Confidence DPs charge no work, so the pipeline stops at the
+        // same pop as the bare engine.
+        exec::RunContext pipeline_run;
+        pipeline_run.set_work_budget(budget);
+        std::vector<query::AnswerInfo> piped =
+            DrainPipeline(inst, pool ? &*pool : nullptr, &pipeline_run);
+        ASSERT_EQ(piped.size(), bounded.size())
+            << "pipeline threads=" << threads << " budget=" << budget;
+        ExpectPipelinePrefix(piped, full_pipeline);
+        EXPECT_EQ(pipeline_run.work_charged(), run.work_charged());
+
         if (!reference.has_value()) {
           reference = std::move(bounded);
         } else {

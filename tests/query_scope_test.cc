@@ -309,3 +309,39 @@ TEST_F(QueryScopeTest, ConcurrentBatchQueriesOnSharedPoolStayDisjoint) {
 }  // namespace tms
 
 #endif  // TMS_OBS_ACTIVE
+
+namespace tms {
+namespace {
+
+// A TMS_OBS_* macro evaluates its value operand once, so the query scope
+// and the global registry record the same sample even when the operand
+// has side effects, like the Stopwatch::Lap() of
+// query.emax_enum.compose_ns. A compiled-out macro evaluates nothing.
+TEST(ObsMacroTest, ValueOperandIsEvaluatedOnce) {
+  obs::SetEnabled(true);
+  obs::Registry::Global().Reset();
+  int evaluations = 0;
+  auto sample = [&evaluations] { return ++evaluations * 1000; };
+  obs::QueryScope scope("macro");
+  TMS_OBS_HISTOGRAM("scope.once.hist", sample());
+  TMS_OBS_COUNT("scope.once.counter", sample());
+  TMS_OBS_GAUGE_SET("scope.once.gauge", sample());
+#if TMS_OBS_ACTIVE
+  EXPECT_EQ(evaluations, 3);
+  obs::RegistrySnapshot local = scope.Snapshot();
+  obs::RegistrySnapshot global = obs::Registry::Global().Snapshot();
+  for (const obs::RegistrySnapshot* snap : {&local, &global}) {
+    const obs::HistogramSnapshot& hist = snap->histograms.at("scope.once.hist");
+    EXPECT_EQ(hist.count, 1);
+    EXPECT_EQ(hist.sum, 1000);
+    EXPECT_EQ(snap->counters.at("scope.once.counter"), 2000);
+    EXPECT_DOUBLE_EQ(snap->gauges.at("scope.once.gauge"), 3000.0);
+  }
+#else
+  (void)sample;
+  EXPECT_EQ(evaluations, 0);
+#endif
+}
+
+}  // namespace
+}  // namespace tms

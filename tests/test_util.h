@@ -14,9 +14,12 @@
 
 #include "db/batch_evaluator.h"
 #include "db/collection.h"
+#include "exec/engine_options.h"
 #include "markov/markov_sequence.h"
 #include "markov/world_iter.h"
+#include "obs/obs.h"
 #include "projector/sprojector.h"
+#include "query/answers.h"
 #include "strings/str.h"
 #include "transducer/transducer.h"
 
@@ -133,6 +136,25 @@ inline StatusOr<std::vector<db::SequenceCollection::Row>> BatchRows(
     }
   }
   return rows;
+}
+
+/// Up to `limit` answers of the ranked answer pipeline over (mu, t),
+/// drained under its own obs::QueryScope. `*confidence_calls` receives
+/// the confidence DPs the drain ran (`query.confidence.calls`; 0 when
+/// obs is compiled out).
+inline StatusOr<std::vector<query::AnswerInfo>> DrainRankedPipeline(
+    const markov::MarkovSequence& mu, const transducer::Transducer& t,
+    const exec::EngineOptions& options, int64_t* confidence_calls,
+    int64_t limit = 500) {
+  obs::QueryScope scope("ranked_pipeline");
+  auto pipeline = query::AnswerPipeline::Create(
+      mu, t, query::AnswerMode::kRanked, options);
+  if (!pipeline.ok()) return pipeline.status();
+  auto answers = pipeline->Take(limit);
+  obs::RegistrySnapshot snap = scope.Snapshot();
+  auto calls = snap.counters.find("query.confidence.calls");
+  *confidence_calls = calls == snap.counters.end() ? 0 : calls->second;
+  return answers;
 }
 
 }  // namespace tms::testing

@@ -24,9 +24,9 @@
 #              an injected mid-stream crash, a dead worker)
 #   7. release: -DCMAKE_BUILD_TYPE=Release build (build-release/), full
 #              test suite — GCC's -O3 warnings are errors here too
-#   8. repeat: `ctest --repeat until-fail:20` over the serve, dist and
-#              robustness labels in the default build, so a flaky test
-#              fails CI instead of passing by luck
+#   8. repeat: `ctest --repeat until-fail:20` over the serve, dist,
+#              robustness and concurrency labels in the default build, so
+#              a flaky test fails CI instead of passing by luck
 #   9. bench:  enumeration + kernel bench reports
 #              (BENCH_enumeration_delay.json, BENCH_enumeration_emax.json,
 #              BENCH_twostep_vs_ranked.json, BENCH_sparse_scaling.json,
@@ -145,7 +145,7 @@ case "$STAGE" in
 esac
 case "$STAGE" in
   repeat|all)
-    run_stage repeat "$ROOT/build" -L "serve|dist|robustness" \
+    run_stage repeat "$ROOT/build" -L "serve|dist|robustness|concurrency" \
       --no-tests=error --repeat until-fail:20 --
     ;;
 esac
