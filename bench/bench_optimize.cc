@@ -5,14 +5,13 @@
 //         reductions (states/edges before and after, pass wall time) on
 //         random nondeterministic transducers.
 //   OPT2  the E12 E_max workload end to end: the engine, which prunes the
-//         query and every composed product, against a bench-local
-//         UNPRUNED reference (Lawler over a fresh direct composition per
-//         subspace solve, no cache). The composed-product state count
-//         must DROP while the emitted answer stream stays byte-identical.
-//         The `_off` metrics are the reference's: its compose_ns_off and
-//         wall_ms_off time uncached composition, so they are not
-//         comparable with baselines in which the unpruned side ran
-//         through the composition cache.
+//         query once and solves each subspace on the live pairs of its
+//         product with the constraint (never building the product),
+//         against a bench-local UNPRUNED reference (Lawler over a fresh
+//         direct composition per subspace solve). The composed-product
+//         state count must DROP while the emitted answer stream stays
+//         byte-identical. compose_ns_on is the engine's live-product
+//         build, compose_ns_off the reference's ComposeWithOutputConstraint.
 //
 // BENCH_optimize.json is the machine-readable baseline
 // (bench/baselines/); a zero "identical" metric fails the binary, so a
@@ -131,7 +130,7 @@ struct E12Run {
   std::vector<ranking::ScoredAnswer> answers;
   double wall_ms = 0.0;
   int64_t composed_states = 0;  ///< sum over all subspace composes
-  int64_t compose_ns = 0;       ///< compose-phase time, prune included
+  int64_t compose_ns = 0;       ///< product build (live pairs for the engine)
   int64_t optimize_ns = 0;      ///< offline-pass time (engine only)
   int64_t states_pruned = 0;    ///< optimize.product_states_pruned
 };
@@ -148,9 +147,8 @@ void DrainTimed(ranking::AnswerStream& it, int k, E12Run* run) {
   run->wall_ms = wall.ElapsedSeconds() * 1e3;
 }
 
-// One measured engine repetition: a fresh enumerator (and thus a fresh
-// private composition cache, so every repetition redoes the compose
-// work).
+// One measured engine repetition: a fresh enumerator, so every
+// repetition redoes the query prune and every live-product build.
 E12Run RunEngineOnce(const Instance& inst, int n, int k) {
   E12Run run;
   obs::QueryScope scope("bench_optimize.engine.n=" + std::to_string(n));
@@ -165,7 +163,7 @@ E12Run RunEngineOnce(const Instance& inst, int n, int k) {
 }
 
 // One measured reference repetition: Lawler whose solver composes the
-// query as given with each constraint (no prune, no cache) and runs the
+// query as given with each constraint (no prune) and runs the
 // dense Viterbi on the full product, summing the product sizes and the
 // composition time itself.
 E12Run RunReferenceOnce(const Instance& inst, int k) {

@@ -72,17 +72,15 @@ void PrintReproduction() {
 }
 
 // The Lahar framing: one query over a whole collection of Markov
-// sequences. db::BatchEvaluator fans the per-sequence top-k evaluations
-// across a thread pool and shares one composition cache (the composed
-// transducers depend only on the constraint, not on μ), so the sequential
-// collection scan is both the correctness reference and the 1-thread row.
+// sequences. db::BatchEvaluator fans the independent per-sequence top-k
+// evaluations across a thread pool; the sequential collection scan is the
+// correctness reference.
 void PrintBatchReproduction() {
   bench::PrintHeader(
       "E10b: one query over a sequence collection (db::BatchEvaluator)",
-      "per-sequence evaluations are independent and share all composition "
-      "work through one cache; the batched evaluator returns rows "
-      "byte-identical to the sequential collection scan at every thread "
-      "count.");
+      "per-sequence evaluations are independent; the batched evaluator "
+      "returns rows byte-identical to the sequential collection scan at "
+      "every thread count.");
 
   constexpr int kSequences = 12;
   constexpr int kN = 12;
@@ -116,10 +114,10 @@ void PrintBatchReproduction() {
                                     want.status().message());
     return;
   }
-  std::printf("%-10s %-8s %-8s %-12s %-10s %-10s\n", "mode", "threads",
-              "rows", "total (ms)", "identical", "cache hits");
-  std::printf("%-10s %-8d %-8zu %-12.2f %-10s %-10s\n", "collection", 1,
-              want->size(), sequential_ms, "(ref)", "-");
+  std::printf("%-10s %-8s %-8s %-12s %-10s\n", "mode", "threads", "rows",
+              "total (ms)", "identical");
+  std::printf("%-10s %-8d %-8zu %-12.2f %-10s\n", "collection", 1,
+              want->size(), sequential_ms, "(ref)");
   bench::Report::Global().AddMetric("batch.sequential_ms", sequential_ms);
 
   for (int threads : {1, 2, 4}) {
@@ -154,18 +152,14 @@ void PrintBatchReproduction() {
                   got[i].answer.emax == (*want)[i].answer.emax &&
                   got[i].answer.confidence == (*want)[i].answer.confidence;
     }
-    auto stats = batch->cache_stats();
-    std::printf("%-10s %-8d %-8zu %-12.2f %-10s %-10lld\n", "batch", threads,
-                got.size(), total_ms, identical ? "yes" : "NO",
-                static_cast<long long>(stats.hits));
+    std::printf("%-10s %-8d %-8zu %-12.2f %-10s\n", "batch", threads,
+                got.size(), total_ms, identical ? "yes" : "NO");
     std::string prefix = "batch.threads=" + std::to_string(threads) + ".";
     bench::Report::Global().AddMetric(prefix + "total_ms", total_ms);
     bench::Report::Global().AddMetric(prefix + "rows",
                                       static_cast<double>(got.size()));
     bench::Report::Global().AddMetric(prefix + "identical",
                                       identical ? 1.0 : 0.0);
-    bench::Report::Global().AddMetric(prefix + "cache_hits",
-                                      static_cast<double>(stats.hits));
     if (!identical) {
       bench::Report::Global().AddSkip(
           "E10b: batch rows diverged from the sequential scan at threads=" +

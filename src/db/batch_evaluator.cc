@@ -15,7 +15,6 @@ BatchEvaluator::BatchEvaluator(const SequenceCollection* collection,
     : collection_(collection),
       t_(t),
       options_(options),
-      cache_(std::make_unique<transducer::CompositionCache>(*t)),
       owned_pool_(options.pool != nullptr
                       ? nullptr
                       : std::make_unique<exec::ThreadPool>(
@@ -73,8 +72,7 @@ std::vector<BatchEvaluator::SequenceResult> BatchEvaluator::EvaluateAll(
           TMS_OBS_COUNT("db.batch.failures", 1);
           return out;
         }
-        eval->set_execution(
-            {.cache = cache_.get(), .run = run, .backend = options_.backend});
+        eval->set_execution({.run = run, .backend = options_.backend});
         auto topk = eval->TopK(k);
         if (!topk.ok()) {
           out.status = topk.status();

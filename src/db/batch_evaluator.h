@@ -1,15 +1,10 @@
 // Batched query evaluation over a SequenceCollection.
 //
 // Runs one transducer query against every Markov sequence of a collection,
-// fanning the per-sequence evaluations across an exec::ThreadPool. Two
-// properties make the fan-out worthwhile and safe:
-//   * the sequences are independent — each evaluation reads only its own
-//     μ, the shared (immutable) transducer, and the shared composition
-//     cache;
-//   * the composed transducers depend only on (transducer, constraint),
-//     never on μ, so one CompositionCache serves the whole batch: after
-//     the first sequence warms it, the remaining evaluations skip their
-//     composition work entirely (watch `cache.hits` climb).
+// fanning the per-sequence evaluations across an exec::ThreadPool. The
+// sequences are independent: each evaluation reads only its own μ and the
+// shared (immutable) transducer, and builds every subspace's live product
+// itself (query/emax.h), so the fan-out shares no mutable state.
 //
 // Results come back in collection key order (then per-sequence rank
 // order), so the answers are byte-identical to SequenceCollection's
@@ -18,6 +13,7 @@
 #ifndef TMS_DB_BATCH_EVALUATOR_H_
 #define TMS_DB_BATCH_EVALUATOR_H_
 
+#include <memory>
 #include <vector>
 
 #include "common/status.h"
@@ -25,15 +21,13 @@
 #include "exec/run_context.h"
 #include "kernels/backend.h"
 #include "exec/thread_pool.h"
-#include "transducer/composition_cache.h"
 #include "transducer/transducer.h"
 
 namespace tms::db {
 
 /// One query (transducer) bound to one collection, with an owned thread
-/// pool and composition cache. The collection and transducer are
-/// non-owning and must outlive the evaluator; the collection must not be
-/// mutated while a batch runs.
+/// pool. The collection and transducer are non-owning and must outlive
+/// the evaluator; the collection must not be mutated while a batch runs.
 class BatchEvaluator {
  public:
   struct Options {
@@ -94,9 +88,6 @@ class BatchEvaluator {
   std::vector<SequenceResult> EvaluateAll(int k);
 
   int threads() const { return options_.threads; }
-  transducer::CompositionCache::Stats cache_stats() const {
-    return cache_->stats();
-  }
 
  private:
   BatchEvaluator(const SequenceCollection* collection,
@@ -112,9 +103,7 @@ class BatchEvaluator {
   const transducer::Transducer* t_;
   Options options_;
   // unique_ptr so BatchEvaluator stays movable (StatusOr needs that);
-  // the cache is created in the constructor and never null, the owned
-  // pool is null when Options::pool supplies an external one.
-  std::unique_ptr<transducer::CompositionCache> cache_;
+  // null when Options::pool supplies an external pool.
   std::unique_ptr<exec::ThreadPool> owned_pool_;
 };
 

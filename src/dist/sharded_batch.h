@@ -7,10 +7,9 @@
 //     (key order) into the *globally ranked* stream — the order every
 //     sharded merge must reproduce byte for byte;
 //   * EvaluateSharded() partitions the collection with shard_plan.h,
-//     evaluates each shard with its own BatchEvaluator (own composition
-//     cache — mimicking process isolation; the cache never changes
-//     results, so equivalence holds), and k-way-merges the per-shard
-//     ranked streams with MergeStream.
+//     evaluates each shard with its own BatchEvaluator, one shard after
+//     another, and k-way-merges the per-shard ranked streams with
+//     MergeStream.
 //
 // Fault points (exec/fault.h): `dist.pre_shard` fails a whole shard
 // before it evaluates; `dist.mid_stream` (in VectorShardSource) kills a

@@ -9,18 +9,14 @@
 // Every pointer is non-owning and optional: the pointee must outlive the
 // engine, and null selects the default behavior documented per field.
 // Engines ignore the fields that do not apply to them (the unranked
-// enumerator has no subspaces to parallelize, the s-projector path
-// composes nothing) — passing one fully-populated EngineOptions to every
-// engine of a batch is the intended use.
+// enumerator has no subspaces to parallelize) — passing one
+// fully-populated EngineOptions to every engine of a batch is the
+// intended use.
 
 #ifndef TMS_EXEC_ENGINE_OPTIONS_H_
 #define TMS_EXEC_ENGINE_OPTIONS_H_
 
 #include "kernels/backend.h"
-
-namespace tms::transducer {
-class CompositionCache;
-}  // namespace tms::transducer
 
 namespace tms::exec {
 
@@ -32,13 +28,6 @@ struct EngineOptions {
   /// Lawler pop) concurrently. Non-owning; must outlive the engine.
   /// Null = sequential. Output is byte-identical at any thread count.
   ThreadPool* pool = nullptr;
-
-  /// Shared transducer-composition cache, e.g. one cache across the many
-  /// enumerations of a db::BatchEvaluator run. Non-owning (must outlive
-  /// the engine) and must be bound to the engine's transducer. Null = the
-  /// engine keeps a private cache (engines that compose nothing ignore
-  /// it).
-  transducer::CompositionCache* cache = nullptr;
 
   /// Bounded execution (deadline / answer cap / work budget /
   /// cancellation; see exec/run_context.h). Non-owning; null = unbounded.

@@ -17,8 +17,8 @@ FaultInjector& FaultInjector::Global() {
 
 bool FaultInjector::HitSlow(const char* point) {
   // Select the firing actions under the lock, run them outside it: a delay
-  // must not serialize unrelated points (or a caller's own lock, e.g. the
-  // composition cache's) and a callback may legitimately re-enter Hit.
+  // must not serialize unrelated points (or a caller's own lock) and a
+  // callback may legitimately re-enter Hit.
   std::vector<Action> fired;
   int64_t hit = 0;
   {

@@ -2,8 +2,8 @@
 //
 // The engines expose named FAULT POINTS (`TMS_FAULT_POINT("lawler.pre_solve")`)
 // at the places where a production run can actually be hurt: just before a
-// subspace solve, before a heap push, before a cache insert, before an
-// emptiness-oracle call, before a batch item. A test arms the global
+// subspace solve, before a heap push, before an emptiness-oracle call,
+// before a batch item. A test arms the global
 // FaultInjector to fire at the Nth hit of a point:
 //
 //   * a DELAY (sleep) — widens race windows for the TSan suites,
@@ -11,7 +11,7 @@
 //     drives every enumerator through randomized cancellation points,
 //   * a simulated RESOURCE FAILURE — Hit() returns true and the engine
 //     takes its allocation-failure path (stop the run via
-//     RunContext::InjectFault, or skip a cache insert),
+//     RunContext::InjectFault),
 //   * an arbitrary CALLBACK.
 //
 // Zero-overhead switch, exactly like src/obs/config.h: the CMake option

@@ -115,9 +115,6 @@ ExplainPhases DerivePhases(const ExplainInput& input) {
 std::string ExplainJson(const ExplainInput& input) {
   const ExplainPhases phases = DerivePhases(input);
   const DelayPick delay = PickDelay(input.stats);
-  const int64_t cache_hits = CounterOr0(input.stats, "cache.hits");
-  const int64_t cache_misses = CounterOr0(input.stats, "cache.misses");
-  const int64_t cache_lookups = cache_hits + cache_misses;
   const HistogramSnapshot* composed =
       FindHistogram(input.stats, "query.emax_enum.composed_states");
   const HistogramSnapshot* product =
@@ -159,17 +156,6 @@ std::string ExplainJson(const ExplainInput& input) {
   AppendKeyI64("p99_ns", delay.hist.Quantile(0.99), &out);
   out += ',';
   AppendKeyI64("max_ns", delay.hist.max, &out);
-  out += "},\"cache\":{";
-  AppendKeyI64("hits", cache_hits, &out);
-  out += ',';
-  AppendKeyI64("misses", cache_misses, &out);
-  out += ",\"hit_rate\":";
-  AppendJsonNumber(cache_lookups == 0 ? 0.0
-                                      : static_cast<double>(cache_hits) /
-                                            static_cast<double>(cache_lookups),
-                   &out);
-  out += ',';
-  AppendKeyI64("evictions", CounterOr0(input.stats, "cache.evictions"), &out);
   out += "},\"kernels\":{";
   AppendKeyI64("dense_calls", DenseKernelCalls(input.stats), &out);
   out += ',';
@@ -216,9 +202,6 @@ std::string ExplainJson(const ExplainInput& input) {
 std::string ExplainText(const ExplainInput& input) {
   const ExplainPhases phases = DerivePhases(input);
   const DelayPick delay = PickDelay(input.stats);
-  const int64_t cache_hits = CounterOr0(input.stats, "cache.hits");
-  const int64_t cache_misses = CounterOr0(input.stats, "cache.misses");
-  const int64_t cache_lookups = cache_hits + cache_misses;
   const HistogramSnapshot* composed =
       FindHistogram(input.stats, "query.emax_enum.composed_states");
   const HistogramSnapshot* product =
@@ -263,14 +246,6 @@ std::string ExplainText(const ExplainInput& input) {
   } else {
     out += "  delay:   no answers recorded\n";
   }
-  std::snprintf(buf, sizeof(buf),
-                "  cache:   hits=%lld misses=%lld hit_rate=%s evictions=%lld\n",
-                static_cast<long long>(cache_hits),
-                static_cast<long long>(cache_misses),
-                Pct(cache_hits, cache_lookups).c_str(),
-                static_cast<long long>(
-                    CounterOr0(input.stats, "cache.evictions")));
-  out += buf;
   std::snprintf(
       buf, sizeof(buf),
       "  kernels: dense=%lld sparse=%lld calls "

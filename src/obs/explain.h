@@ -59,7 +59,7 @@ struct ExplainPhases {
 ExplainPhases DerivePhases(const ExplainInput& input);
 
 /// One JSON object: {"explain":{"query":...,"phases":{...},"delay":{...},
-/// "cache":{...},"kernels":{...},"automata":{...},"exec":{...}}}.
+/// "kernels":{...},"automata":{...},"exec":{...}}}.
 std::string ExplainJson(const ExplainInput& input);
 
 /// Human-readable multi-line report (tms_cli explain default output).

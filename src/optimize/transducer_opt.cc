@@ -33,9 +33,7 @@ int CountEdges(const Transducer& t) {
 
 /// Records the pass's metrics. Every counter and histogram is touched on
 /// every pass — zero deltas included — so the stats-key schema does not
-/// depend on whether the pass found anything to remove. (Exposed as
-/// RecordPrunePass for the fused prune in transducer/composition_cache.cc,
-/// which performs a prune-equivalent cut without calling PruneTransducer.)
+/// depend on whether the pass found anything to remove.
 void RecordPass(const OptimizeStats& stats, int64_t elapsed_ns) {
   TMS_OBS_COUNT("optimize.passes", 1);
   TMS_OBS_COUNT("optimize.states_removed",
@@ -308,10 +306,6 @@ Transducer MinimizeTransducer(const Transducer& t, OptimizeStats* stats) {
   RecordPass(local, sw.ElapsedNanos());
   if (stats != nullptr) *stats = local;
   return out;
-}
-
-void RecordPrunePass(const OptimizeStats& stats, int64_t elapsed_ns) {
-  RecordPass(stats, elapsed_ns);
 }
 
 }  // namespace tms::optimize

@@ -4,13 +4,15 @@
 //  * PruneTransducer — drops states that are unreachable from the initial
 //    state or cannot reach an accepting state, plus every edge into a
 //    dropped state, and renumbers the survivors MONOTONICALLY. Every
-//    engine path runs this pass (on the query and, fused, on each composed
-//    product; transducer/composition_cache.h), because it is provably
-//    byte-exact for the ranked streams: removed accepting cells never hold
-//    a finite forward value, kept cells keep their exact values, and the
-//    monotone renumbering preserves the ascending (s, q) order of the
-//    first-strict-max backtrack scan in query::EmaxContext::TopAnswer —
-//    even among exactly tied scores.
+//    engine path runs this pass on the query, and the E_max subspace
+//    solve makes the same cut of each query × constraint product without
+//    building it (the live pairs of query::EmaxContext::TopAnswer(
+//    pruned_query, c)), because it is provably byte-exact for the ranked
+//    streams: removed accepting cells never hold a finite forward value,
+//    kept cells keep their exact values, and the monotone renumbering
+//    preserves the ascending (s, q) order of the first-strict-max
+//    backtrack scan in query::EmaxContext::TopAnswer — even among exactly
+//    tied scores.
 //
 //  * MinimizeTransducer — prune followed by a bisimulation quotient
 //    (largest partition where merged states agree on acceptance and on
@@ -54,14 +56,6 @@ transducer::Transducer PruneTransducer(const transducer::Transducer& t,
 /// order among exactly tied scores. Idempotent.
 transducer::Transducer MinimizeTransducer(const transducer::Transducer& t,
                                           OptimizeStats* stats = nullptr);
-
-/// Records the optimize.* metrics for one prune-equivalent pass executed
-/// OUTSIDE this module — the fused prune-during-specialization of
-/// transducer::CompositionCache computes the same reachable ∧
-/// co-accessible cut without materializing the full product, and must
-/// report it with the exact key set PruneTransducer would have (zero
-/// deltas included; the stats schema cannot depend on the fusion).
-void RecordPrunePass(const OptimizeStats& stats, int64_t elapsed_ns);
 
 }  // namespace tms::optimize
 

@@ -1,5 +1,6 @@
 #include "query/emax.h"
 
+#include <algorithm>
 #include <cmath>
 #include <limits>
 #include <unordered_map>
@@ -7,6 +8,7 @@
 #include <vector>
 
 #include "common/check.h"
+#include "common/stopwatch.h"
 #include "kernels/arena.h"
 #include "kernels/dense.h"
 #include "kernels/kernels.h"
@@ -20,15 +22,11 @@ using numeric::LogProb;
 
 constexpr int32_t kNoBack = -1;
 
-// Looks up the (unique) emission of the transition (q, s, q2).
-const Str& EmissionOf(const transducer::Transducer& t, automata::StateId q,
-                      Symbol s, automata::StateId q2) {
-  for (const transducer::Edge& e : t.Next(q, s)) {
-    if (e.target == q2) return e.output;
-  }
-  TMS_CHECK(false);  // transition must exist when called from backtracking
-  static const Str kEmpty;
-  return kEmpty;
+// Scratch for every solve on this thread, so concurrent subspace solves of
+// a parallel enumeration never share buffers and each reuses one block.
+kernels::Arena& ThreadArena() {
+  static thread_local kernels::Arena arena;
+  return arena;
 }
 
 }  // namespace
@@ -78,21 +76,250 @@ EmaxContext::EmaxContext(const markov::MarkovSequence& mu,
   }
 }
 
+// The column graph one Viterbi solve runs on: `cols` columns (the states
+// of a transducer, or the live pairs of a product) and, per (input symbol
+// s2, column c), the CSR segment [off[s2·cols + c], off[s2·cols + c + 1])
+// of the edges c --s2--> tgt[e], each emitting *out[e]. Within a segment
+// the targets ascend, as Transducer::Next keeps them.
+struct EmaxContext::Columns {
+  size_t cols = 0;
+  size_t initial = 0;
+  const uint8_t* accepting = nullptr;  // [c]
+  const int32_t* off = nullptr;        // σ·cols + 1 entries
+  const int32_t* tgt = nullptr;
+  const Str* const* out = nullptr;
+};
+
 std::optional<Evidence> EmaxContext::TopAnswer(
     const transducer::Transducer& t) const {
   TMS_CHECK(mu_->nodes() == t.input_alphabet());
-  const int n = n_;
+  kernels::Arena& arena = ThreadArena();
+  arena.Reset();
   const size_t sigma = sigma_;
   const size_t nq = static_cast<size_t>(t.num_states());
+  const size_t cells = sigma * nq;
+
+  // Flatten the transducer into CSR keyed by (s2, q): the edges
+  // q --s2--> q2, built once per solve instead of t.Next() per step.
+  int32_t* off = arena.Alloc<int32_t>(cells + 1);
+  size_t num_edges = 0;
+  for (size_t s2 = 0; s2 < sigma; ++s2) {
+    for (size_t q = 0; q < nq; ++q) {
+      off[s2 * nq + q] = static_cast<int32_t>(num_edges);
+      num_edges += t.Next(static_cast<automata::StateId>(q),
+                          static_cast<Symbol>(s2))
+                       .size();
+    }
+  }
+  off[cells] = static_cast<int32_t>(num_edges);
+  int32_t* tgt = arena.Alloc<int32_t>(num_edges);
+  const Str** out = arena.Alloc<const Str*>(num_edges);
+  size_t pos = 0;
+  for (size_t s2 = 0; s2 < sigma; ++s2) {
+    for (size_t q = 0; q < nq; ++q) {
+      for (const transducer::Edge& e :
+           t.Next(static_cast<automata::StateId>(q),
+                  static_cast<Symbol>(s2))) {
+        tgt[pos] = static_cast<int32_t>(e.target);
+        out[pos++] = &e.output;
+      }
+    }
+  }
+  uint8_t* accepting = arena.Alloc<uint8_t>(nq);
+  for (size_t q = 0; q < nq; ++q) {
+    accepting[q] = t.IsAccepting(static_cast<automata::StateId>(q)) ? 1 : 0;
+  }
+  return Solve({nq, static_cast<size_t>(t.initial()), accepting, off, tgt, out},
+               arena);
+}
+
+std::optional<Evidence> EmaxContext::TopAnswer(
+    const transducer::Transducer& t, const ranking::OutputConstraint& c,
+    ProductStats* stats) const {
+  TMS_CHECK(mu_->nodes() == t.input_alphabet());
+  Stopwatch sw;
+  kernels::Arena& arena = ThreadArena();
+  arena.Reset();
+  const size_t sigma = sigma_;
+  const size_t nq = static_cast<size_t>(t.num_states());
+  // Pair (q, k) has id q·nk + k, k the state of c.ToDfa(): prefix
+  // progress 0..w, then free, then dead — ComposeWithOutputDfa's numbering.
+  const int w = static_cast<int>(c.prefix.size());
+  const int free_k = w + 1;
+  const int dead_k = w + 2;
+  const size_t nk = static_cast<size_t>(w) + 3;
+  const size_t pairs = nq * nk;
+  const size_t delta = t.output_alphabet().size();
+  uint8_t* excluded = arena.Alloc<uint8_t>(delta);
+  std::fill(excluded, excluded + delta, uint8_t{0});
+  for (Symbol x : c.excluded_next) excluded[static_cast<size_t>(x)] = 1;
+  // The constraint DFA run over one emission from progress k.
+  auto advance = [&](int k, const Str& o) {
+    for (Symbol d : o) {
+      if (k == free_k || k == dead_k) break;  // both absorb
+      if (k == w) {
+        k = excluded[static_cast<size_t>(d)] ? dead_k : free_k;
+      } else {
+        k = d == c.prefix[static_cast<size_t>(k)] ? k + 1 : dead_k;
+      }
+    }
+    return k;
+  };
+  auto accepts = [&](size_t p) {
+    const int k = static_cast<int>(p % nk);
+    return t.IsAccepting(static_cast<automata::StateId>(p / nk)) &&
+           (k == free_k || (k == w && c.allow_equal));
+  };
+
+  // Forward: the pairs reachable from (initial, 0), recording every edge
+  // crossed. Dead pairs absorb and never accept, so none is live and the
+  // search does not enter them. mark[p]: -1 unreached, 0 reached, 1 also
+  // co-accessible (below), then the live column.
+  size_t query_edges = 0;
+  for (size_t q = 0; q < nq; ++q) {
+    for (size_t s = 0; s < sigma; ++s) {
+      query_edges += t.Next(static_cast<automata::StateId>(q),
+                            static_cast<Symbol>(s))
+                         .size();
+    }
+  }
+  int32_t* mark = arena.Alloc<int32_t>(pairs);
+  std::fill(mark, mark + pairs, -1);
+  int32_t* queue = arena.Alloc<int32_t>(pairs);
+  int32_t* esrc = arena.Alloc<int32_t>(query_edges * nk);
+  int32_t* etgt = arena.Alloc<int32_t>(query_edges * nk);
+  size_t reached = 0;
+  size_t crossed = 0;
+  const size_t start = static_cast<size_t>(t.initial()) * nk;
+  mark[start] = 0;
+  queue[reached++] = static_cast<int32_t>(start);
+  for (size_t head = 0; head < reached; ++head) {
+    const size_t p = static_cast<size_t>(queue[head]);
+    const int k = static_cast<int>(p % nk);
+    for (size_t s = 0; s < sigma; ++s) {
+      for (const transducer::Edge& e :
+           t.Next(static_cast<automata::StateId>(p / nk),
+                  static_cast<Symbol>(s))) {
+        const int k2 = advance(k, e.output);
+        if (k2 == dead_k) continue;
+        const size_t p2 = static_cast<size_t>(e.target) * nk +
+                          static_cast<size_t>(k2);
+        esrc[crossed] = static_cast<int32_t>(p);
+        etgt[crossed++] = static_cast<int32_t>(p2);
+        if (mark[p2] < 0) {
+          mark[p2] = 0;
+          queue[reached++] = static_cast<int32_t>(p2);
+        }
+      }
+    }
+  }
+
+  // Backward: over the crossed edges reversed (CSR by target), from the
+  // reachable accepting pairs.
+  int32_t* roff = arena.Alloc<int32_t>(pairs + 1);
+  std::fill(roff, roff + pairs + 1, 0);
+  for (size_t e = 0; e < crossed; ++e) {
+    ++roff[static_cast<size_t>(etgt[e]) + 1];
+  }
+  for (size_t p = 0; p < pairs; ++p) roff[p + 1] += roff[p];
+  int32_t* fill = arena.Alloc<int32_t>(pairs);
+  std::copy(roff, roff + pairs, fill);
+  int32_t* rsrc = arena.Alloc<int32_t>(crossed);
+  for (size_t e = 0; e < crossed; ++e) {
+    rsrc[fill[static_cast<size_t>(etgt[e])]++] = esrc[e];
+  }
+  int32_t* stack = arena.Alloc<int32_t>(reached);
+  size_t top = 0;
+  for (size_t i = 0; i < reached; ++i) {
+    const size_t p = static_cast<size_t>(queue[i]);
+    if (accepts(p)) {
+      mark[p] = 1;
+      stack[top++] = static_cast<int32_t>(p);
+    }
+  }
+  while (top > 0) {
+    const size_t p = static_cast<size_t>(stack[--top]);
+    for (int32_t r = roff[p]; r < roff[p + 1]; ++r) {
+      const size_t src = static_cast<size_t>(rsrc[r]);
+      if (mark[src] == 0) {
+        mark[src] = 1;
+        stack[top++] = static_cast<int32_t>(src);
+      }
+    }
+  }
+
+  // Number the live pairs in ascending id: PruneTransducer's monotone
+  // renumbering of the product.
+  int32_t* pair_of = arena.Alloc<int32_t>(reached);
+  size_t live = 0;
+  for (size_t p = 0; p < pairs; ++p) {
+    if (mark[p] == 1) {
+      pair_of[live] = static_cast<int32_t>(p);
+      mark[p] = static_cast<int32_t>(live++);
+    } else {
+      mark[p] = -1;
+    }
+  }
+  if (stats != nullptr) {
+    stats->live_pairs = static_cast<int>(live);
+    stats->product_pairs = static_cast<int>(pairs);
+  }
+  if (live == 0) {
+    if (stats != nullptr) stats->build_ns = sw.ElapsedNanos();
+    return std::nullopt;
+  }
+
+  // The (s2, live column) CSR over the query's edges, each run through
+  // the constraint, keeping the ones between live pairs in Next's order.
+  // Every such edge was crossed once above, so `crossed` bounds them.
+  const size_t cells = sigma * live;
+  int32_t* off = arena.Alloc<int32_t>(cells + 1);
+  int32_t* tgt = arena.Alloc<int32_t>(crossed);
+  const Str** out = arena.Alloc<const Str*>(crossed);
+  size_t pos = 0;
+  for (size_t s2 = 0; s2 < sigma; ++s2) {
+    for (size_t col = 0; col < live; ++col) {
+      off[s2 * live + col] = static_cast<int32_t>(pos);
+      const size_t p = static_cast<size_t>(pair_of[col]);
+      const int k = static_cast<int>(p % nk);
+      for (const transducer::Edge& e :
+           t.Next(static_cast<automata::StateId>(p / nk),
+                  static_cast<Symbol>(s2))) {
+        const int k2 = advance(k, e.output);
+        if (k2 == dead_k) continue;
+        const int32_t col2 = mark[static_cast<size_t>(e.target) * nk +
+                                 static_cast<size_t>(k2)];
+        if (col2 < 0) continue;
+        tgt[pos] = col2;
+        out[pos++] = &e.output;
+      }
+    }
+  }
+  off[cells] = static_cast<int32_t>(pos);
+  uint8_t* accepting = arena.Alloc<uint8_t>(live);
+  for (size_t col = 0; col < live; ++col) {
+    accepting[col] = accepts(static_cast<size_t>(pair_of[col])) ? 1 : 0;
+  }
+  if (stats != nullptr) stats->build_ns = sw.ElapsedNanos();
+  return Solve({live, static_cast<size_t>(mark[start]), accepting, off, tgt,
+                out},
+               arena);
+}
+
+std::optional<Evidence> EmaxContext::Solve(const Columns& g,
+                                           kernels::Arena& arena) const {
+  const int n = n_;
+  const size_t sigma = sigma_;
+  const size_t nq = g.cols;
   const size_t cells = sigma * nq;
   const double ninf = -std::numeric_limits<double>::infinity();
   auto idx = [&](size_t s, size_t q) { return s * nq + q; };
 
   // best[(s,q)] = max log-prob of a world prefix of length i ending in node
-  // s with some run reaching q. The layer update factors into
+  // s with some run reaching column q. The layer update factors into
   //   (1) a dense branchless max-plus gemm over the step tensor:
   //       tmp(s2, q) = max_s prev[(s,q)] + step[s][s2]  (kernels::GemmTN),
-  //   (2) a sparse scatter along the transducer edges q --s2--> q2, which
+  //   (2) a sparse scatter along the column edges q --s2--> q2, which
   //       maxes that mass into the (s2, q2) cells of the next layer.
   // The forward pass stores *every* score layer (n * cells doubles) and
   // keeps no backpointers at all: the hot loop stays pure max-plus (no
@@ -103,52 +330,22 @@ std::optional<Evidence> EmaxContext::TopAnswer(
   // first-strict-max tie-break of the scalar DP. Answer streams must stay
   // byte-identical to that DP, because witness worlds seed the Lawler
   // subspace splits.
-  //
-  // Scratch lives in a thread-local arena so concurrent subspace solves of
-  // a parallel enumeration never share buffers and reuse one allocation.
-  static thread_local kernels::Arena arena;
-  arena.Reset();
   double* layers = arena.Alloc<double>(static_cast<size_t>(n) * cells);
   kernels::Matrix<double> tmp(&arena, sigma, nq);
   auto layer = [&](int i) {  // valid for i = 1..n
     return layers + (static_cast<size_t>(i) - 1) * cells;
   };
-
-  // Flatten the transducer into CSR keyed by (s2, q): targets q2 of the
-  // edges q --s2--> q2, built once per solve instead of t.Next() per step.
-  int32_t* csr_off = arena.Alloc<int32_t>(cells + 1);
-  size_t num_edges = 0;
-  for (size_t s2 = 0; s2 < sigma; ++s2) {
-    for (size_t q = 0; q < nq; ++q) {
-      csr_off[s2 * nq + q] = static_cast<int32_t>(num_edges);
-      num_edges += t.Next(static_cast<automata::StateId>(q),
-                          static_cast<Symbol>(s2))
-                       .size();
-    }
-  }
-  csr_off[cells] = static_cast<int32_t>(num_edges);
-  int32_t* csr_tgt = arena.Alloc<int32_t>(num_edges);
-  {
-    size_t pos = 0;
-    for (size_t s2 = 0; s2 < sigma; ++s2) {
-      for (size_t q = 0; q < nq; ++q) {
-        for (const transducer::Edge& e :
-             t.Next(static_cast<automata::StateId>(q),
-                    static_cast<Symbol>(s2))) {
-          csr_tgt[pos++] = static_cast<int32_t>(e.target);
-        }
-      }
-    }
-  }
+  const int32_t* csr_off = g.off;
+  const int32_t* csr_tgt = g.tgt;
 
   double* first = layer(1);
   for (size_t c = 0; c < cells; ++c) first[c] = ninf;
   for (size_t s = 0; s < sigma; ++s) {
     double p0 = init_[s];
     if (p0 == ninf) continue;
-    for (const transducer::Edge& e :
-         t.Next(t.initial(), static_cast<Symbol>(s))) {
-      size_t cell = idx(s, static_cast<size_t>(e.target));
+    const size_t from = s * nq + g.initial;
+    for (int32_t e = csr_off[from]; e < csr_off[from + 1]; ++e) {
+      size_t cell = idx(s, static_cast<size_t>(csr_tgt[e]));
       if (p0 > first[cell]) first[cell] = p0;
     }
   }
@@ -170,7 +367,7 @@ std::optional<Evidence> EmaxContext::TopAnswer(
                                      sigma, sigma);
       kernels::GemmTN<kernels::MaxPlus>(step_m, prev_m, &tmp);
     }
-    // Stage (2): scatter along the transducer edges into layer i.
+    // Stage (2): scatter along the column edges into layer i.
     kernels::Matrix<double> next_m(layer(i), sigma, nq);
     kernels::MaxPlusEdgeScatter(tmp, csr_off, csr_tgt, &next_m);
   }
@@ -181,7 +378,7 @@ std::optional<Evidence> EmaxContext::TopAnswer(
   int32_t best_cell = kNoBack;
   for (size_t s = 0; s < sigma; ++s) {
     for (size_t q = 0; q < nq; ++q) {
-      if (!t.IsAccepting(static_cast<automata::StateId>(q))) continue;
+      if (!g.accepting[q]) continue;
       if (prev[idx(s, q)] > best_val) {
         best_val = prev[idx(s, q)];
         best_cell = static_cast<int32_t>(idx(s, q));
@@ -190,11 +387,12 @@ std::optional<Evidence> EmaxContext::TopAnswer(
   }
   if (best_cell == kNoBack || best_val == ninf) return std::nullopt;
 
-  // Backtrack the (node, state) chain by replaying each layer update in
-  // reverse. Reverse CSR keyed by (s2, q2): source states q of the edges
+  // Backtrack the (node, column) chain by replaying each layer update in
+  // reverse. Reverse CSR keyed by (s2, q2): source columns q of the edges
   // q --s2--> q2, in ascending q (built from the q-ascending forward
   // lists), so the ascending (s, q) equality scan below lands on exactly
   // the predecessor the scalar DP's first-strict-max rule kept.
+  const size_t num_edges = static_cast<size_t>(csr_off[cells]);
   int32_t* rev_off = arena.Alloc<int32_t>(cells + 1);
   int32_t* rev_src = arena.Alloc<int32_t>(num_edges);
   {
@@ -252,14 +450,23 @@ std::optional<Evidence> EmaxContext::TopAnswer(
     out.world[static_cast<size_t>(i - 1)] =
         static_cast<Symbol>(chain[static_cast<size_t>(i)] / nq);
   }
-  // Reconstruct the output along the run.
-  automata::StateId prev_q = t.initial();
+  // Reconstruct the output along the run: each step's emission is that of
+  // the (unique) edge from the previous column to this one.
+  size_t prev_q = g.initial;
   for (int i = 1; i <= n; ++i) {
-    automata::StateId q =
-        static_cast<automata::StateId>(chain[static_cast<size_t>(i)] % nq);
-    const Str& w =
-        EmissionOf(t, prev_q, out.world[static_cast<size_t>(i - 1)], q);
-    out.output.insert(out.output.end(), w.begin(), w.end());
+    const size_t q = chain[static_cast<size_t>(i)] % nq;
+    const size_t from =
+        static_cast<size_t>(out.world[static_cast<size_t>(i - 1)]) * nq +
+        prev_q;
+    const Str* w = nullptr;
+    for (int32_t e = csr_off[from]; e < csr_off[from + 1]; ++e) {
+      if (static_cast<size_t>(csr_tgt[e]) == q) {
+        w = g.out[e];
+        break;
+      }
+    }
+    TMS_CHECK(w != nullptr);  // the backtracked step's edge exists
+    out.output.insert(out.output.end(), w->begin(), w->end());
     prev_q = q;
   }
   out.prob = std::exp(best_val);

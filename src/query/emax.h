@@ -12,13 +12,19 @@
 #ifndef TMS_QUERY_EMAX_H_
 #define TMS_QUERY_EMAX_H_
 
+#include <cstdint>
 #include <memory>
 #include <optional>
 #include <vector>
 
 #include "kernels/backend.h"
 #include "markov/markov_sequence.h"
+#include "ranking/prefix_constraint.h"
 #include "transducer/transducer.h"
+
+namespace tms::kernels {
+class Arena;
+}  // namespace tms::kernels
 
 namespace tms::query {
 
@@ -27,6 +33,14 @@ struct Evidence {
   Str world;    ///< s ∈ Σ^n with p(s) = prob
   Str output;   ///< o with s →[A^ω]→ o
   double prob;  ///< p(s) — the E_max value it certifies
+};
+
+/// What one EmaxContext::TopAnswer(pruned_query, c) solve built before its
+/// DP (see that overload).
+struct ProductStats {
+  int live_pairs = 0;     ///< DP columns; 0 iff the product's language is empty
+  int product_pairs = 0;  ///< |Q|·(|w|+3): every (state, progress) pair
+  int64_t build_ns = 0;   ///< numbering the pairs and building the CSR
 };
 
 /// Precomputed log-domain view of one Markov sequence, shared across the
@@ -65,7 +79,32 @@ class EmaxContext {
   /// on either backend. Thread-safe; scratch buffers are thread-local.
   std::optional<Evidence> TopAnswer(const transducer::Transducer& t) const;
 
+  /// The Theorem 4.3 subspace solve: TopAnswer over the product of
+  /// `pruned_query` (an optimize::PruneTransducer result) with the
+  /// constraint DFA of `c`, without building that product. Its pairs
+  /// (q, k) — k the constraint DFA's state: prefix progress 0..|w|, then
+  /// free, then dead — are the columns of the DP when they are live:
+  /// reachable from (initial, 0) and able to reach an accepting pair.
+  /// Live pairs are numbered in ascending q·(|w|+3) + k, each step's edges
+  /// are the query's edges run through the constraint, and each emission
+  /// is read from the query's own edge; those are exactly the states, the
+  /// numbering, the edge order and the outputs of
+  /// PruneTransducer(ComposeWithOutputConstraint(pruned_query, c)), so the
+  /// result is bit-identical to TopAnswer on that product. Returns nullopt
+  /// before any DP when no pair is live. `stats`, if given, receives what
+  /// the solve built. Thread-safe, like TopAnswer(t).
+  std::optional<Evidence> TopAnswer(const transducer::Transducer& pruned_query,
+                                    const ranking::OutputConstraint& c,
+                                    ProductStats* stats = nullptr) const;
+
  private:
+  /// The column graph of one solve (defined in emax.cc).
+  struct Columns;
+
+  /// The Viterbi DP shared by both TopAnswer overloads, over the columns
+  /// the caller built in `arena`; allocates its layers from the same arena.
+  std::optional<Evidence> Solve(const Columns& g, kernels::Arena& arena) const;
+
   /// Log-domain image of one distinct transition matrix.
   struct LogStep {
     std::vector<double> dense;  ///< [s·σ + s'] = log μ_i→(s, s')

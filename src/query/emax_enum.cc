@@ -1,9 +1,11 @@
 #include "query/emax_enum.h"
 
+#include <algorithm>
 #include <utility>
 
 #include "common/stopwatch.h"
 #include "obs/obs.h"
+#include "optimize/transducer_opt.h"
 #include "query/emax.h"
 
 namespace tms::query {
@@ -13,7 +15,7 @@ namespace tms::query {
 // owned inputs it also pins the Markov sequence itself (the pre-State
 // solver captured the constructor arguments by reference and dangled as
 // soon as a caller passed temporaries). The transducer needs no pin: the
-// composition cache keeps its own pruned copy.
+// state keeps its own pruned copy.
 struct EmaxEnumerator::State {
   // Set only by WithOwnedInputs; `mu` points here in that case.
   std::optional<markov::MarkovSequence> owned_mu;
@@ -22,18 +24,12 @@ struct EmaxEnumerator::State {
 
   // Built after mu is fixed (Init).
   std::optional<EmaxContext> ctx;
-  std::optional<transducer::CompositionCache> owned_cache;
-  transducer::CompositionCache* cache = nullptr;
+  std::optional<transducer::Transducer> query;  // optimize::PruneTransducer(t)
 
   void Init(const transducer::Transducer& t,
             const exec::EngineOptions& options) {
     ctx.emplace(*mu, options.backend);
-    if (options.cache != nullptr) {
-      cache = options.cache;
-    } else {
-      owned_cache.emplace(t);
-      cache = &*owned_cache;
-    }
+    query.emplace(optimize::PruneTransducer(t));
   }
 };
 
@@ -46,13 +42,18 @@ EmaxEnumerator::EmaxEnumerator(std::shared_ptr<State> state,
           -> std::optional<ranking::ScoredAnswer> {
         TMS_OBS_SPAN("query.emax_enum.subspace_solve");
         Stopwatch sw;
-        std::shared_ptr<const transducer::Transducer> composed =
-            s->cache->Compose(c);
-        TMS_OBS_HISTOGRAM("query.emax_enum.compose_ns", sw.Lap());
+        ProductStats product;
+        auto best = s->ctx->TopAnswer(*s->query, c, &product);
+        // compose_ns is the live-product build, solve_ns the DP after it.
+        // An empty product counts as the one state PruneTransducer would
+        // have left of it.
+        TMS_OBS_HISTOGRAM("query.emax_enum.compose_ns", product.build_ns);
+        TMS_OBS_HISTOGRAM("query.emax_enum.solve_ns",
+                          sw.ElapsedNanos() - product.build_ns);
         TMS_OBS_HISTOGRAM("query.emax_enum.composed_states",
-                          composed->num_states());
-        auto best = s->ctx->TopAnswer(*composed);
-        TMS_OBS_HISTOGRAM("query.emax_enum.solve_ns", sw.Lap());
+                          std::max(product.live_pairs, 1));
+        TMS_OBS_COUNT("optimize.product_states_pruned",
+                      product.product_pairs - product.live_pairs);
         if (!best.has_value()) return std::nullopt;
         return ranking::ScoredAnswer{std::move(best->output), best->prob};
       },

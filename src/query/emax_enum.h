@@ -1,13 +1,13 @@
 // Ranked enumeration by decreasing E_max — Theorem 4.3.
 //
-// Lawler–Murty over output-prefix constraints: each subspace is solved by
-// composing the pruned transducer with the constraint DFA, pruning the
-// product (both memoized by transducer/composition_cache.h), and running
-// the Viterbi of query/emax.h on the result. Emits answers in exactly
-// nonincreasing E_max with polynomial delay; as an ordering by
-// *confidence* this is a |Σ|^n-approximation (the paper shows no
-// sub-exponential ratio is tractable, Theorem 4.4 — so this heuristic is
-// worst-case optimal).
+// Lawler–Murty over output-prefix constraints: the query is pruned once,
+// and each subspace is solved by the Viterbi of query/emax.h over the
+// live pairs of the pruned query's product with the constraint DFA
+// (EmaxContext::TopAnswer(pruned_query, c)), a product that is never
+// built. Emits answers in exactly nonincreasing E_max with polynomial
+// delay; as an ordering by *confidence* this is a |Σ|^n-approximation
+// (the paper shows no sub-exponential ratio is tractable, Theorem 4.4 —
+// so this heuristic is worst-case optimal).
 
 #ifndef TMS_QUERY_EMAX_ENUM_H_
 #define TMS_QUERY_EMAX_ENUM_H_
@@ -24,18 +24,17 @@
 #include "obs/query_scope.h"
 #include "ranking/answer_stream.h"
 #include "ranking/lawler.h"
-#include "transducer/composition_cache.h"
 #include "transducer/transducer.h"
 
 namespace tms::query {
 
 /// Streams A^ω(μ) in nonincreasing E_max.
 ///
-/// The subspace-solver state (inputs, precomputed E_max tensors, the
-/// composition cache) lives in a shared block captured by value, so the
-/// enumerator can be moved freely and — via WithOwnedInputs — can outlive
-/// the arguments it was built from. The solver only reads immutable state
-/// and the thread-safe cache, so child subspaces may be solved in parallel
+/// The subspace-solver state (the Markov sequence, its precomputed E_max
+/// tensors, the pruned query) lives in a shared block captured by value,
+/// so the enumerator can be moved freely and — via WithOwnedInputs — can
+/// outlive the arguments it was built from. The solver only reads that
+/// immutable state, so child subspaces may be solved in parallel
 /// (EngineOptions::pool) with output byte-identical to the sequential engine.
 class EmaxEnumerator : public ranking::AnswerStream {
  public:

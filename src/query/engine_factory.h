@@ -5,7 +5,7 @@
 // s-projector I_max engine (Theorem 5.2) — is built here from a model, a
 // query, and one exec::EngineOptions. Callers receive the uniform
 // ranking::AnswerStream interface and never name a concrete engine class,
-// so execution resources (pool / cache / run / backend) are threaded
+// so execution resources (pool / run / backend) are threaded
 // through one door and input validation returns Status instead of
 // crashing.
 //

@@ -32,9 +32,7 @@ class Evaluator {
 
   /// Optional execution resources, all non-owning (they must outlive the
   /// evaluator). `pool` parallelizes the subspace solves inside TopK;
-  /// `cache` shares composed transducers across evaluators of the same
-  /// transducer (db::BatchEvaluator passes one cache for a whole
-  /// collection) and must be bound to the evaluator's `t`. `run` bounds
+  /// `run` bounds
   /// TopK / EvaluateTwoStep (deadline, answer cap, work budget,
   /// cancellation): on truncation they return the partial result with an
   /// OK StatusOr — a valid prefix of the unbounded result — and

@@ -78,8 +78,8 @@ class LawlerEnumerator : public AnswerStream {
                             exec::ThreadPool* pool = nullptr,
                             exec::RunContext* run = nullptr);
 
-  /// As above, drawing pool/run from the shared options shape (cache and
-  /// backend do not apply here: the solver captures both).
+  /// As above, drawing pool/run from the shared options shape (backend
+  /// does not apply here: the solver captures it).
   LawlerEnumerator(SubspaceSolver solver, const exec::EngineOptions& options)
       : LawlerEnumerator(std::move(solver), options.pool, options.run) {}
 

@@ -528,7 +528,7 @@ void HttpServer::HandleBatch(int fd, RequestReader* reader,
 
   // Evaluate the shard, keeping only what the stream needs: the ranked
   // rows, already serialized, and the per-shard coverage. The collection
-  // copy and the evaluator with its composition cache die with this
+  // copy and the evaluator die with this
   // block, before the first row is written, so a slow reader never pins
   // them, and the write loop below allocates nothing.
   std::vector<std::string> lines;

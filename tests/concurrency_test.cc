@@ -1,6 +1,5 @@
 // Determinism and safety of the parallel enumeration paths: byte-identical
-// output at every thread count, the composition cache's differential
-// correctness and LRU accounting, the finite-score boundary of the Lawler
+// output at every thread count, the finite-score boundary of the Lawler
 // engine, and the shared-state ownership rules of query/emax_enum.h.
 //
 // These tests carry the ctest label `concurrency`; run them under
@@ -23,7 +22,6 @@
 #include "db/batch_evaluator.h"
 #include "db/collection.h"
 #include "exec/thread_pool.h"
-#include "optimize/transducer_opt.h"
 #include "projector/imax_enum.h"
 #include "projector/sprojector.h"
 #include "query/answers.h"
@@ -31,8 +29,6 @@
 #include "ranking/lawler.h"
 #include "ranking/prefix_constraint.h"
 #include "test_util.h"
-#include "transducer/compose.h"
-#include "transducer/composition_cache.h"
 #include "transducer/transducer.h"
 #include "workload/random_models.h"
 
@@ -42,7 +38,6 @@ namespace {
 using query::EmaxEnumerator;
 using ranking::OutputConstraint;
 using ranking::ScoredAnswer;
-using transducer::CompositionCache;
 using transducer::Transducer;
 
 // ---------------------------------------------------------------------------
@@ -99,24 +94,6 @@ TEST(ParallelEmaxTest, ByteIdenticalAtEveryThreadCount) {
     ExpectIdenticalStreams(seq, DrainEmax(mu, t, &pool8),
                            "threads=8 trial " + std::to_string(trial));
   }
-}
-
-TEST(ParallelEmaxTest, SharedCacheAcrossEnumerationsStaysIdentical) {
-  Rng rng(7);
-  markov::MarkovSequence mu = RandomMu(rng);
-  Transducer t = RandomT(mu.nodes(), rng);
-  std::vector<ScoredAnswer> fresh = DrainEmax(mu, t, nullptr);
-
-  CompositionCache cache(t);
-  exec::ThreadPool pool(3);
-  for (int round = 0; round < 3; ++round) {
-    EmaxEnumerator it(mu, t, {.pool = &pool, .cache = &cache});
-    std::vector<ScoredAnswer> got;
-    while (auto answer = it.Next()) got.push_back(std::move(*answer));
-    ExpectIdenticalStreams(fresh, got, "round " + std::to_string(round));
-  }
-  // Later rounds replay compositions the first round built.
-  EXPECT_GT(cache.stats().hits, 0);
 }
 
 TEST(ParallelImaxTest, ByteIdenticalAtEveryThreadCount) {
@@ -277,125 +254,6 @@ TEST(ParallelPipelineTest,
 }
 
 // ---------------------------------------------------------------------------
-// CompositionCache: differential correctness, hit accounting, eviction.
-
-void ExpectSameTransducer(const Transducer& want, const Transducer& got) {
-  ASSERT_EQ(want.num_states(), got.num_states());
-  EXPECT_EQ(want.initial(), got.initial());
-  ASSERT_TRUE(want.input_alphabet() == got.input_alphabet());
-  ASSERT_TRUE(want.output_alphabet() == got.output_alphabet());
-  const int sigma = static_cast<int>(want.input_alphabet().size());
-  for (int q = 0; q < want.num_states(); ++q) {
-    EXPECT_EQ(want.IsAccepting(q), got.IsAccepting(q)) << "state " << q;
-    for (Symbol s = 0; s < sigma; ++s) {
-      const auto& we = want.Next(q, s);
-      const auto& ge = got.Next(q, s);
-      ASSERT_EQ(we.size(), ge.size()) << "q=" << q << " s=" << s;
-      for (size_t e = 0; e < we.size(); ++e) {
-        EXPECT_EQ(we[e].target, ge[e].target) << "q=" << q << " s=" << s;
-        EXPECT_EQ(we[e].output, ge[e].output) << "q=" << q << " s=" << s;
-      }
-    }
-  }
-}
-
-// What the cache returns for (t, c): the product of the pruned query,
-// pruned (the expression that
-// OptimizeEquivalenceTest.FusedProductPruneMatchesComposeThenPrune pins).
-Transducer PrunedProduct(const Transducer& t, const OutputConstraint& c) {
-  return optimize::PruneTransducer(
-      ComposeWithOutputConstraint(optimize::PruneTransducer(t), c));
-}
-
-TEST(CompositionCacheTest, MatchesDirectCompositionOnLawlerConstraints) {
-  Rng rng(404);
-  for (int trial = 0; trial < 8; ++trial) {
-    markov::MarkovSequence mu = RandomMu(rng, 5);
-    Transducer t = RandomT(mu.nodes(), rng);
-    CompositionCache cache(t);
-
-    // The constraints that actually occur: the root and every PartitionAfter
-    // child of the answers the enumeration produces.
-    std::vector<OutputConstraint> constraints = {OutputConstraint::All()};
-    EmaxEnumerator it(mu, t);
-    int answers = 0;
-    while (auto answer = it.Next()) {
-      if (++answers > 12) break;
-      for (OutputConstraint& c :
-           OutputConstraint::All().PartitionAfter(answer->output)) {
-        constraints.push_back(std::move(c));
-      }
-    }
-    for (const OutputConstraint& c : constraints) {
-      auto cached = cache.Compose(c);
-      ASSERT_NE(cached, nullptr);
-      ExpectSameTransducer(PrunedProduct(t, c), *cached);
-      // Second lookup returns the same object, not a rebuild.
-      EXPECT_EQ(cache.Compose(c).get(), cached.get());
-    }
-  }
-}
-
-TEST(CompositionCacheTest, CountsHitsAndMisses) {
-  Rng rng(9);
-  markov::MarkovSequence mu = RandomMu(rng, 4);
-  Transducer t = RandomT(mu.nodes(), rng);
-  CompositionCache cache(t);
-  EXPECT_EQ(cache.stats().hits, 0);
-  EXPECT_EQ(cache.stats().misses, 0);
-
-  OutputConstraint c;
-  c.prefix = {0};
-  c.excluded_next = {1};
-  cache.Compose(c);
-  // Miss on the specialization and on the level-1 prefix base.
-  const int64_t first_misses = cache.stats().misses;
-  EXPECT_GE(first_misses, 2);
-  EXPECT_GT(cache.stats().bytes, 0u);
-
-  cache.Compose(c);
-  EXPECT_EQ(cache.stats().hits, 1);
-  EXPECT_EQ(cache.stats().misses, first_misses);
-
-  // Same prefix, different excluded set: the level-1 base is reused.
-  OutputConstraint sibling = c;
-  sibling.excluded_next = {0};
-  cache.Compose(sibling);
-  EXPECT_EQ(cache.stats().hits, 2);  // base hit
-  EXPECT_EQ(cache.stats().misses, first_misses + 1);
-}
-
-TEST(CompositionCacheTest, EvictsUnderTinyBudgetAndStaysCorrect) {
-  Rng rng(11);
-  markov::MarkovSequence mu = RandomMu(rng, 6);
-  Transducer t = RandomT(mu.nodes(), rng);
-  CompositionCache cache(t, /*max_bytes=*/1024);
-
-  std::vector<OutputConstraint> constraints;
-  for (Symbol a = 0; a < 2; ++a) {
-    for (Symbol b = 0; b < 2; ++b) {
-      OutputConstraint c;
-      c.prefix = {a, b};
-      c.excluded_next = {a};
-      c.allow_equal = (a != b);
-      constraints.push_back(c);
-    }
-  }
-  // Cycle through enough distinct compositions to blow the 1 KiB budget
-  // repeatedly; every result must still match the pruned composition.
-  for (int round = 0; round < 3; ++round) {
-    for (const OutputConstraint& c : constraints) {
-      auto cached = cache.Compose(c);
-      ExpectSameTransducer(PrunedProduct(t, c), *cached);
-    }
-  }
-  EXPECT_GT(cache.stats().evictions, 0);
-  // The budget may be overshot only while a single oversized entry is
-  // pinned; with several small entries it must be enforced.
-  EXPECT_LE(cache.stats().bytes, size_t{64} << 10);
-}
-
-// ---------------------------------------------------------------------------
 // Lawler boundary: non-finite scores must not enter the heap.
 
 TEST(LawlerBoundaryTest, NanScoredSubspacesAreSkipped) {
@@ -514,11 +372,6 @@ TEST(BatchEvaluatorTest, MatchesSequentialTopKPerSequence) {
       EXPECT_EQ((*got)[i].answer.output, (*want)[i].answer.output);
       EXPECT_EQ((*got)[i].answer.emax, (*want)[i].answer.emax);
       EXPECT_EQ((*got)[i].answer.confidence, (*want)[i].answer.confidence);
-    }
-    if (threads > 1) {
-      // The shared cache pays off across sequences: after the first
-      // sequence warms it, later ones hit.
-      EXPECT_GT(batch->cache_stats().hits, 0);
     }
   }
 }

@@ -3,7 +3,7 @@
 //
 // The system's headline guarantee is byte-identical ranked streams at
 // every thread count and backend, and every engine path prunes the query
-// and its composed products. This suite byte-compares each engine's
+// (and the E_max solve cuts each product to its live pairs). This suite byte-compares each engine's
 // stream across {dense,sparse,auto} backends × {1,2,8} threads on
 // randomized instances (TMS_TEST_SEED-replayable) against an UNPRUNED
 // reference: Lawler over the direct composition for E_max, brute-force
@@ -12,15 +12,14 @@
 //   * PruneTransducer and MinimizeTransducer are idempotent;
 //   * pruning/minimization never change the answer set, and minimization
 //     preserves per-answer scores within the documented 1e-12 tolerance
-//     (pruning is exact — bitwise);
-//   * the composition cache's fused product prune is transducer-identical
-//     to compose-then-prune.
+//     (pruning is exact — bitwise).
+// tests/live_product_test.cc pins the live-pair cut of each subspace
+// solve to the solve on the built, pruned product.
 
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <map>
-#include <memory>
 #include <optional>
 #include <string>
 #include <vector>
@@ -39,7 +38,6 @@
 #include "ranking/prefix_constraint.h"
 #include "test_util.h"
 #include "transducer/compose.h"
-#include "transducer/composition_cache.h"
 #include "workload/random_models.h"
 
 namespace tms {
@@ -111,7 +109,7 @@ std::vector<ranking::ScoredAnswer> Drain(query::EnumeratorKind kind,
 }
 
 // The unpruned E_max reference: Lawler whose solver composes the query as
-// given with each constraint (no prune, no cache) and runs the dense
+// given with each constraint (no prune) and runs the dense
 // Viterbi on the full product.
 std::vector<ranking::ScoredAnswer> ReferenceEmax(const Instance& inst) {
   const query::EmaxContext ctx(inst.mu, BackendChoice::kDense);
@@ -290,49 +288,6 @@ TEST(OptimizeEquivalenceTest, MinimizePreservesAnswerSetAndScores) {
       auto it = got.find(o);
       ASSERT_NE(it, got.end());
       EXPECT_NEAR(it->second, conf, 1e-12);
-    }
-  }
-}
-
-// ---------------------------------------------------------------------------
-// The engine's fused product prune.
-
-TEST(OptimizeEquivalenceTest, FusedProductPruneMatchesComposeThenPrune) {
-  // The cache prunes DURING specialization (the full product is never
-  // materialized); this pins it, transducer-for-
-  // transducer, to the reference pipeline it fuses: prune the root, run
-  // the direct composition, prune the product. Random machines and random
-  // constraints, including constraints whose product has an empty
-  // language (the canonical one-state prune result).
-  const uint64_t seed = testing::TestSeed(27109);
-  SCOPED_TRACE(testing::SeedTrace(seed));
-  Rng rng(seed);
-  for (int trial = 0; trial < 25; ++trial) {
-    SCOPED_TRACE("trial " + std::to_string(trial));
-    Instance inst = DenseInstance(rng);
-    const int out_sigma =
-        static_cast<int>(inst.t.output_alphabet().size());
-    transducer::Transducer pruned_root = optimize::PruneTransducer(inst.t);
-    transducer::CompositionCache cache(inst.t);
-    for (int c = 0; c < 6; ++c) {
-      ranking::OutputConstraint constraint;
-      const int w = static_cast<int>(rng.UniformInt(0, 3));
-      for (int i = 0; i < w; ++i) {
-        constraint.prefix.push_back(
-            static_cast<Symbol>(rng.UniformInt(0, out_sigma - 1)));
-      }
-      for (Symbol s = 0; s < static_cast<Symbol>(out_sigma); ++s) {
-        if (rng.Bernoulli(0.3)) constraint.excluded_next.insert(s);
-      }
-      constraint.allow_equal = rng.Bernoulli(0.5);
-
-      transducer::Transducer expected = optimize::PruneTransducer(
-          transducer::ComposeWithOutputConstraint(pruned_root, constraint));
-      std::shared_ptr<const transducer::Transducer> fused =
-          cache.Compose(constraint);
-      EXPECT_EQ(io::FormatTransducer(*fused), io::FormatTransducer(expected))
-          << "constraint " << c << ": fused prune diverged from "
-          << "compose-then-prune";
     }
   }
 }

@@ -10,6 +10,12 @@
 # deterministic, so only the JSON keys are golden (the
 # check_stats_schema.sh convention).
 #
+# The checks run in order of what they protect: every answer stream
+# first, then the thread × backend sweep, then every key set. Each
+# divergent file is reported and the script exits 1 only after all of
+# them ran, so a change that legitimately moves metric keys still shows
+# that it kept every answer.
+#
 # A divergence means user-visible output changed: either fix the
 # regression or regenerate deliberately:
 #
@@ -28,46 +34,48 @@ DATA="$ROOT/examples/data"
 GDATA="$ROOT/tests/golden/data"
 GOLD="$ROOT/tests/golden"
 
-# A missing golden file is a hard failure, never a skip (same contract
-# as tools/check_stats_schema.sh).
-require_golden() {
-  if [ ! -f "$1" ]; then
-    echo "MISSING golden file: $1" >&2
-    echo "a missing golden is an error, not a skip" >&2
-    echo "generate it deliberately with TMS_UPDATE_GOLDEN=1 $0 $CLI $ROOT" >&2
-    exit 1
-  fi
-}
+OUT=$(mktemp -d)
+trap 'rm -rf "$OUT"' EXIT
+CASES="hospital hospital_sproj running_example bio_motif"
+failed=""
 
-check_case() { # name sequence query k
-  name="$1"; seq="$2"; query="$3"; k="$4"
-  out=$("$CLI" topk "$seq" "$query" "$k")
-  keys=$("$CLI" topk "$seq" "$query" "$k" --stats=json \
+capture() { # name sequence query k
+  out=$("$CLI" topk "$2" "$3" "$4")
+  printf '%s\n' "$out" > "$OUT/$1_topk.golden"
+  keys=$("$CLI" topk "$2" "$3" "$4" --stats=json \
          | grep -o '"[^"]*":' | LC_ALL=C sort -u)
-  if [ -n "${TMS_UPDATE_GOLDEN:-}" ]; then
-    printf '%s\n' "$out" > "$GOLD/${name}_topk.golden"
-    printf '%s\n' "$keys" > "$GOLD/${name}_stats_keys.golden"
-    echo "updated $name"
-    return 0
-  fi
-  require_golden "$GOLD/${name}_topk.golden"
-  require_golden "$GOLD/${name}_stats_keys.golden"
-  if ! printf '%s\n' "$out" | diff -u "$GOLD/${name}_topk.golden" -; then
-    echo "golden answer stream diverged: $name" >&2
-    echo "regenerate deliberately with TMS_UPDATE_GOLDEN=1 $0 $CLI $ROOT" >&2
-    exit 1
-  fi
-  if ! printf '%s\n' "$keys" | diff -u "$GOLD/${name}_stats_keys.golden" -; then
-    echo "golden stats key set diverged: $name" >&2
-    echo "regenerate deliberately with TMS_UPDATE_GOLDEN=1 $0 $CLI $ROOT" >&2
-    exit 1
+  printf '%s\n' "$keys" > "$OUT/$1_stats_keys.golden"
+}
+
+# compare <file> <what>: diffs the fresh $OUT/<file> against the golden.
+# A missing golden file is a failure, never a skip (same contract as
+# tools/check_stats_schema.sh).
+compare() {
+  if [ ! -f "$GOLD/$1" ]; then
+    echo "MISSING golden file: $GOLD/$1 (a missing golden is an error," \
+         "not a skip)" >&2
+    failed="$failed $1"
+  elif ! diff -u "$GOLD/$1" "$OUT/$1"; then
+    echo "golden $2 diverged: $1" >&2
+    failed="$failed $1"
   fi
 }
 
-check_case hospital "$DATA/hospital.tms" "$DATA/place_tracker.tms" 5
-check_case hospital_sproj "$DATA/hospital.tms" "$DATA/lab_visit.tms" 5
-check_case running_example "$GDATA/fig1.tms" "$GDATA/fig2_query.tms" 5
-check_case bio_motif "$GDATA/motif.tms" "$GDATA/motif_query.tms" 5
+capture hospital "$DATA/hospital.tms" "$DATA/place_tracker.tms" 5
+capture hospital_sproj "$DATA/hospital.tms" "$DATA/lab_visit.tms" 5
+capture running_example "$GDATA/fig1.tms" "$GDATA/fig2_query.tms" 5
+capture bio_motif "$GDATA/motif.tms" "$GDATA/motif_query.tms" 5
+
+if [ -n "${TMS_UPDATE_GOLDEN:-}" ]; then
+  for name in $CASES; do
+    cp "$OUT/${name}_topk.golden" "$OUT/${name}_stats_keys.golden" "$GOLD/"
+    echo "updated $name"
+  done
+else
+  for name in $CASES; do
+    compare "${name}_topk.golden" "answer stream"
+  done
+fi
 
 # Neither the thread count nor the kernel backend may change the answer
 # stream: the max-plus kernels are exact at any concurrency, and the
@@ -82,9 +90,20 @@ for th in 1 2 8; do
          --threads=$th --backend=$be)
     if [ "$t1" != "$tn" ]; then
       echo "answer stream diverged at --threads=$th --backend=$be" >&2
-      exit 1
+      failed="$failed threads=$th/backend=$be"
     fi
   done
 done
 
+if [ -z "${TMS_UPDATE_GOLDEN:-}" ]; then
+  for name in $CASES; do
+    compare "${name}_stats_keys.golden" "stats key set"
+  done
+fi
+
+if [ -n "$failed" ]; then
+  echo "golden corpus diverged:$failed" >&2
+  echo "regenerate deliberately with TMS_UPDATE_GOLDEN=1 $0 $CLI $ROOT" >&2
+  exit 1
+fi
 [ -n "${TMS_UPDATE_GOLDEN:-}" ] || echo "golden corpus OK"

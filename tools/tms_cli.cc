@@ -23,7 +23,7 @@
 //   tms_cli explain <sequence-file> <query-file> [k]
 //       EXPLAIN ANALYZE for a top-k run: executes the query under a
 //       per-query obs::QueryScope and prints the cost report (phase
-//       breakdown, per-answer delay, cache hit rate, kernel backend
+//       breakdown, per-answer delay, kernel backend
 //       traffic, composed-automaton sizes, budget/deadline consumption)
 //       instead of the answers. With --stats=json the report is the
 //       "explain" field of the JSON document.
