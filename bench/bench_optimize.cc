@@ -1,8 +1,8 @@
-// Offline query-automaton optimization (docs/OPTIMIZE.md). Two
+// The query-automaton prune (docs/OPTIMIZE.md). Two
 // experiments:
 //
-//   OPT1  the offline pass itself: prune + bisimulation-quotient
-//         reductions (states/edges before and after, pass wall time) on
+//   OPT1  the query prune itself: unreachable and dead states and arcs
+//         removed (states/edges before and after, pass wall time) on
 //         random nondeterministic transducers.
 //   OPT2  the E12 E_max workload end to end: the engine, which prunes the
 //         query once and solves each subspace on the live pairs of its
@@ -71,19 +71,18 @@ int64_t HistSumOr0(const obs::RegistrySnapshot& s, const std::string& name) {
   return it == s.histograms.end() ? 0 : it->second.sum;
 }
 
-// OPT1 — the offline pass in isolation. Nondeterministic random
-// transducers with a sub-1 accept probability carry dead and duplicated
-// states, so both tiers of the pass (stream-byte-exact prune, then the
-// quotient reserved for offline artifacts) have real work to do.
-void PrintOfflinePass() {
+// OPT1 — the query prune in isolation. Nondeterministic random
+// transducers with a sub-1 accept probability carry unreachable and dead
+// states, so the prune has real work to do.
+void PrintPrunePass() {
   bench::PrintHeader(
-      "OPT1: offline pass reductions (prune + bisimulation quotient)",
-      "the near-linear offline pass removes unreachable/dead states and "
-      "merges bisimilar ones; states_after <= states_before always, with "
-      "substantial reductions on nondeterministic machines.");
+      "OPT1: query prune reductions (unreachable and dead states)",
+      "the linear prune removes states unreachable from the initial state "
+      "or unable to reach an accepting one, and their arcs; states_after "
+      "<= states_before always.");
 
-  std::printf("%-8s %-8s %-10s %-10s %-10s %-10s %-10s\n", "states", "trial",
-              "st_before", "st_prune", "st_min", "edges_out", "pass_ms");
+  std::printf("%-8s %-8s %-10s %-10s %-10s %-10s\n", "states", "trial",
+              "st_before", "st_prune", "edges_out", "pass_ms");
   for (int num_states : {8, 16, 32}) {
     for (int trial = 0; trial < 3; ++trial) {
       Rng rng(1000 + static_cast<uint64_t>(100 * num_states + trial));
@@ -98,29 +97,24 @@ void PrintOfflinePass() {
       transducer::Transducer t =
           workload::RandomTransducer(mu.nodes(), opts, rng);
 
-      optimize::OptimizeStats prune_stats;
-      transducer::Transducer pruned = optimize::PruneTransducer(t, &prune_stats);
-      optimize::OptimizeStats min_stats;
+      optimize::OptimizeStats stats;
       Stopwatch sw;
-      transducer::Transducer minimized =
-          optimize::MinimizeTransducer(t, &min_stats);
+      optimize::PruneTransducer(t, &stats);
       double pass_ms = sw.ElapsedSeconds() * 1e3;
 
-      std::printf("%-8d %-8d %-10d %-10d %-10d %-10d %-10.3f\n", num_states,
-                  trial, min_stats.states_before, prune_stats.states_after,
-                  min_stats.states_after, min_stats.edges_after, pass_ms);
+      std::printf("%-8d %-8d %-10d %-10d %-10d %-10.3f\n", num_states, trial,
+                  stats.states_before, stats.states_after, stats.edges_after,
+                  pass_ms);
       std::string prefix = "states=" + std::to_string(num_states) +
                            ".trial=" + std::to_string(trial) + ".";
       bench::Report::Global().AddMetric(prefix + "states_before",
-                                        min_stats.states_before);
+                                        stats.states_before);
       bench::Report::Global().AddMetric(prefix + "states_after_prune",
-                                        prune_stats.states_after);
-      bench::Report::Global().AddMetric(prefix + "states_after_minimize",
-                                        min_stats.states_after);
+                                        stats.states_after);
       bench::Report::Global().AddMetric(prefix + "edges_before",
-                                        min_stats.edges_before);
+                                        stats.edges_before);
       bench::Report::Global().AddMetric(prefix + "edges_after",
-                                        min_stats.edges_after);
+                                        stats.edges_after);
       bench::Report::Global().AddMetric(prefix + "pass_ms", pass_ms);
     }
   }
@@ -131,7 +125,7 @@ struct E12Run {
   double wall_ms = 0.0;
   int64_t composed_states = 0;  ///< sum over all subspace composes
   int64_t compose_ns = 0;       ///< product build (live pairs for the engine)
-  int64_t optimize_ns = 0;      ///< offline-pass time (engine only)
+  int64_t optimize_ns = 0;      ///< query-prune time (engine only)
   int64_t states_pruned = 0;    ///< optimize.product_states_pruned
 };
 
@@ -282,7 +276,7 @@ bool PrintE12Comparison() {
 // binary so it can never become a checked-in baseline.
 int main() {
   tms::bench::Session session("optimize");
-  tms::PrintOfflinePass();
+  tms::PrintPrunePass();
   bool identical = tms::PrintE12Comparison();
   return identical ? 0 : 1;
 }

@@ -17,7 +17,6 @@ namespace tms::io {
 namespace {
 
 constexpr uint8_t kKindMarkov = 1;
-constexpr uint8_t kKindTransducer = 2;
 constexpr uint8_t kPayloadVersion = 1;
 
 // ---- little-endian byte writer ------------------------------------------
@@ -134,11 +133,11 @@ bool ReadAlphabet(Reader* r, StatusOr<Alphabet>* alphabet) {
   return true;
 }
 
-// Wraps a kind-specific payload in the fingerprinted container.
-std::string Seal(uint8_t kind, uint64_t source_fp, std::string payload) {
+// Wraps a Markov payload in the fingerprinted container.
+std::string Seal(uint64_t source_fp, std::string payload) {
   std::string body;
   body.reserve(payload.size() + 18);
-  PutU8(kind, &body);
+  PutU8(kKindMarkov, &body);
   PutU8(kPayloadVersion, &body);
   PutU64(source_fp, &body);
   PutU64(payload.size(), &body);
@@ -288,97 +287,6 @@ StatusOr<markov::MarkovSequence> DecodeMarkovPayload(Reader* r) {
                                         std::move(transitions));
 }
 
-// ---- transducer payload -------------------------------------------------
-//
-//   input alphabet, output alphabet
-//   u32 num_states, u32 initial
-//   num_states u8                accepting flags
-//   u32 num_edges
-//   per edge: u32 from, u32 symbol, u32 target, u32 len, len × u32 output
-
-std::string EncodeTransducerPayload(const transducer::Transducer& t) {
-  std::string payload;
-  PutAlphabet(t.input_alphabet(), &payload);
-  PutAlphabet(t.output_alphabet(), &payload);
-  PutU32(static_cast<uint32_t>(t.num_states()), &payload);
-  PutU32(static_cast<uint32_t>(t.initial()), &payload);
-  for (int q = 0; q < t.num_states(); ++q) {
-    PutU8(t.IsAccepting(q) ? 1 : 0, &payload);
-  }
-  std::string edges;
-  uint32_t num_edges = 0;
-  for (int q = 0; q < t.num_states(); ++q) {
-    for (size_t s = 0; s < t.input_alphabet().size(); ++s) {
-      for (const transducer::Edge& e : t.Next(q, static_cast<Symbol>(s))) {
-        PutU32(static_cast<uint32_t>(q), &edges);
-        PutU32(static_cast<uint32_t>(s), &edges);
-        PutU32(static_cast<uint32_t>(e.target), &edges);
-        PutU32(static_cast<uint32_t>(e.output.size()), &edges);
-        for (Symbol o : e.output) PutU32(static_cast<uint32_t>(o), &edges);
-        ++num_edges;
-      }
-    }
-  }
-  PutU32(num_edges, &payload);
-  payload += edges;
-  return payload;
-}
-
-StatusOr<transducer::Transducer> DecodeTransducerPayload(Reader* r) {
-  StatusOr<Alphabet> input = Status::Internal("unread");
-  StatusOr<Alphabet> output = Status::Internal("unread");
-  if (!ReadAlphabet(r, &input) || !ReadAlphabet(r, &output)) {
-    return Reject("transducer payload truncated");
-  }
-  if (!input.ok()) return Reject("bad input alphabet: " +
-                                 input.status().ToString());
-  if (!output.ok()) return Reject("bad output alphabet: " +
-                                  output.status().ToString());
-  uint32_t num_states, initial;
-  if (!r->ReadU32(&num_states) || !r->ReadU32(&initial)) {
-    return Reject("transducer payload truncated");
-  }
-  if (initial >= num_states) return Reject("initial state out of range");
-  transducer::Transducer t(*std::move(input), *std::move(output),
-                           static_cast<int>(num_states));
-  t.SetInitial(static_cast<automata::StateId>(initial));
-  for (uint32_t q = 0; q < num_states; ++q) {
-    uint8_t accepting;
-    if (!r->ReadU8(&accepting)) return Reject("transducer payload truncated");
-    if (accepting) t.SetAccepting(static_cast<automata::StateId>(q));
-  }
-  uint32_t num_edges;
-  if (!r->ReadU32(&num_edges)) return Reject("transducer payload truncated");
-  const size_t sigma = t.input_alphabet().size();
-  const size_t omega = t.output_alphabet().size();
-  for (uint32_t i = 0; i < num_edges; ++i) {
-    uint32_t from, symbol, target, len;
-    if (!r->ReadU32(&from) || !r->ReadU32(&symbol) || !r->ReadU32(&target) ||
-        !r->ReadU32(&len)) {
-      return Reject("transducer payload truncated");
-    }
-    if (from >= num_states || target >= num_states || symbol >= sigma) {
-      return Reject("edge out of range");
-    }
-    Str out;
-    out.reserve(len);
-    for (uint32_t j = 0; j < len; ++j) {
-      uint32_t o;
-      if (!r->ReadU32(&o)) return Reject("transducer payload truncated");
-      if (o >= omega) return Reject("edge output symbol out of range");
-      out.push_back(static_cast<Symbol>(o));
-    }
-    Status added = t.AddTransition(static_cast<automata::StateId>(from),
-                                   static_cast<Symbol>(symbol),
-                                   static_cast<automata::StateId>(target),
-                                   std::move(out));
-    if (!added.ok()) return Reject("bad edge: " + added.ToString());
-  }
-  Status valid = t.Validate();
-  if (!valid.ok()) return Reject("invalid transducer: " + valid.ToString());
-  return t;
-}
-
 bool WriteFileBestEffort(const std::string& path, const std::string& bytes) {
   std::ofstream out(path, std::ios::binary | std::ios::trunc);
   if (!out) return false;
@@ -403,12 +311,7 @@ bool LooksBinary(std::string_view bytes) {
 
 std::string EncodeMarkovSequence(const markov::MarkovSequence& mu,
                                  uint64_t source_fp) {
-  return Seal(kKindMarkov, source_fp, EncodeMarkovPayload(mu));
-}
-
-std::string EncodeTransducer(const transducer::Transducer& t,
-                             uint64_t source_fp) {
-  return Seal(kKindTransducer, source_fp, EncodeTransducerPayload(t));
+  return Seal(source_fp, EncodeMarkovPayload(mu));
 }
 
 StatusOr<DecodedModel> DecodeModel(std::string_view bytes) {
@@ -435,23 +338,11 @@ StatusOr<DecodedModel> DecodeModel(std::string_view bytes) {
   if (version != kPayloadVersion) return Reject("unsupported version");
   if (payload_size != r.remaining()) return Reject("payload size mismatch");
 
-  DecodedModel model;
-  model.source_fp = source_fp;
-  if (kind == kKindMarkov) {
-    auto mu = DecodeMarkovPayload(&r);
-    if (!mu.ok()) return mu.status();
-    if (!r.empty()) return Reject("trailing bytes after payload");
-    model.markov = *std::move(mu);
-    return model;
-  }
-  if (kind == kKindTransducer) {
-    auto t = DecodeTransducerPayload(&r);
-    if (!t.ok()) return t.status();
-    if (!r.empty()) return Reject("trailing bytes after payload");
-    model.transducer = *std::move(t);
-    return model;
-  }
-  return Reject("unknown model kind");
+  if (kind != kKindMarkov) return Reject("unknown model kind");
+  auto mu = DecodeMarkovPayload(&r);
+  if (!mu.ok()) return mu.status();
+  if (!r.empty()) return Reject("trailing bytes after payload");
+  return DecodedModel{source_fp, *std::move(mu)};
 }
 
 std::string SnapshotPath(const std::string& path) { return path + ".tmsb"; }
@@ -464,11 +355,8 @@ StatusOr<markov::MarkovSequence> LoadMarkovSequenceFile(
   if (LooksBinary(*text)) {
     auto decoded = DecodeModel(*text);
     if (!decoded.ok()) return decoded.status();
-    if (!decoded->markov) {
-      return Status::InvalidArgument(path + ": not a markov-sequence model");
-    }
     TMS_OBS_COUNT("io.snapshot_loaded", 1);
-    return *std::move(decoded->markov);
+    return std::move(decoded->markov);
   }
 
   const uint64_t source_fp = Fnv1a64(*text);
@@ -476,10 +364,9 @@ StatusOr<markov::MarkovSequence> LoadMarkovSequenceFile(
   StatusOr<std::string> snapshot = ReadFile(snapshot_path);
   if (snapshot.ok() && LooksBinary(*snapshot)) {
     auto decoded = DecodeModel(*snapshot);
-    if (decoded.ok() && decoded->markov &&
-        decoded->source_fp == source_fp) {
+    if (decoded.ok() && decoded->source_fp == source_fp) {
       TMS_OBS_COUNT("io.snapshot_loaded", 1);
-      return *std::move(decoded->markov);
+      return std::move(decoded->markov);
     }
     // Stale (source text changed) or corrupt — fall back to the text and
     // rebuild below. Corruption was already counted by DecodeModel; count

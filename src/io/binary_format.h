@@ -7,37 +7,36 @@
 //
 //     "# tms-model v1\n"          15-byte magic (also a valid text comment)
 //     u64  fp                     FNV-1a over every byte after this field
-//     u8   kind                   1 = markov-sequence, 2 = transducer
+//     u8   kind                   1 = markov-sequence (the only kind)
 //     u8   version                payload layout version (currently 1)
 //     u64  source_fp              FNV-1a of the source *text* bytes the
 //                                 snapshot was built from (0 = standalone)
 //     u64  payload_size
-//     payload                     kind-specific, see binary_format.cc
+//     payload                     the Markov payload, see binary_format.cc
 //
 // The file must be exactly this long — trailing bytes are corruption.
 // All multi-byte integers are little-endian and naturally mmap-able;
 // doubles are IEEE-754 bit images, so decode(encode(m)) reproduces the
 // exact probabilities and `io::FormatMarkovSequence` output of `m`.
 //
-// The snapshot *sibling* flow mirrors src/optimize's artifact files: next
-// to a text model `m.tms` the loader keeps `m.tms.tmsb`. A sibling whose
-// source_fp matches the current text bytes is decoded instead of parsing
-// the text (counter io.snapshot_loaded); a stale or corrupt sibling is
-// rejected (io.snapshot_rejected) and rebuilt best-effort after the text
-// parse (io.snapshot_saved). This is what makes tms_server cold-start
-// stop re-parsing text.
+// The snapshot *sibling* flow: next to a text model `m.tms` the loader
+// keeps `m.tms.tmsb`. A sibling whose source_fp matches the current text
+// bytes is decoded instead of parsing the text (counter
+// io.snapshot_loaded); a stale or corrupt sibling is rejected
+// (io.snapshot_rejected) and rebuilt best-effort after the text parse
+// (io.snapshot_saved). This is what makes tms_server cold-start stop
+// re-parsing text. Queries have no snapshot: their one persisted form is
+// their text.
 
 #ifndef TMS_IO_BINARY_FORMAT_H_
 #define TMS_IO_BINARY_FORMAT_H_
 
 #include <cstdint>
-#include <optional>
 #include <string>
 #include <string_view>
 
 #include "common/status.h"
 #include "markov/markov_sequence.h"
-#include "transducer/transducer.h"
 
 namespace tms::io {
 
@@ -46,8 +45,7 @@ namespace tms::io {
 /// never a half-parsed model.
 inline constexpr std::string_view kBinaryMagic = "# tms-model v1\n";
 
-/// 64-bit FNV-1a over `bytes` (the raw integer behind
-/// optimize::Fingerprint's hex spelling).
+/// 64-bit FNV-1a over `bytes`.
 uint64_t Fnv1a64(std::string_view bytes);
 
 /// True iff `bytes` starts with the snapshot magic.
@@ -59,20 +57,15 @@ bool LooksBinary(std::string_view bytes);
 std::string EncodeMarkovSequence(const markov::MarkovSequence& mu,
                                  uint64_t source_fp = 0);
 
-/// Encodes a transducer (edge insertion order preserved).
-std::string EncodeTransducer(const transducer::Transducer& t,
-                             uint64_t source_fp = 0);
-
-/// A decoded snapshot: exactly one of the two models is set.
+/// A decoded snapshot.
 struct DecodedModel {
   uint64_t source_fp = 0;
-  std::optional<markov::MarkovSequence> markov;
-  std::optional<transducer::Transducer> transducer;
+  markov::MarkovSequence markov;
 };
 
 /// Decodes a snapshot, verifying the fingerprint first: truncated,
-/// extended, or bit-flipped input is InvalidArgument (counted as
-/// io.snapshot_rejected), never a mangled model.
+/// extended, or bit-flipped input, and any kind but 1, is InvalidArgument
+/// (counted as io.snapshot_rejected), never a mangled model.
 StatusOr<DecodedModel> DecodeModel(std::string_view bytes);
 
 /// Where the snapshot sibling of text model `path` lives: `path` + ".tmsb".

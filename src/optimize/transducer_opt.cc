@@ -1,11 +1,6 @@
 #include "optimize/transducer_opt.h"
 
-#include <algorithm>
 #include <deque>
-#include <map>
-#include <set>
-#include <tuple>
-#include <utility>
 #include <vector>
 
 #include "common/check.h"
@@ -40,7 +35,6 @@ void RecordPass(const OptimizeStats& stats, int64_t elapsed_ns) {
                 stats.states_unreachable + stats.states_dead);
   TMS_OBS_COUNT("optimize.edges_removed",
                 stats.edges_before - stats.edges_after);
-  TMS_OBS_COUNT("optimize.states_merged", stats.states_merged);
   TMS_OBS_HISTOGRAM("optimize.optimize_ns", elapsed_ns);
   TMS_OBS_HISTOGRAM("optimize.states_before", stats.states_before);
   TMS_OBS_HISTOGRAM("optimize.states_after", stats.states_after);
@@ -48,8 +42,8 @@ void RecordPass(const OptimizeStats& stats, int64_t elapsed_ns) {
   (void)elapsed_ns;
 }
 
-/// The prune, uninstrumented: MinimizeTransducer runs it as its first
-/// stage and must report ONE pass, not two.
+/// The prune, uninstrumented, so that PruneTransducer records one pass
+/// whichever of its two returns it takes.
 Transducer PruneImpl(const Transducer& t, OptimizeStats* stats) {
   const int n = t.num_states();
   const int sigma = static_cast<int>(t.input_alphabet().size());
@@ -148,161 +142,12 @@ Transducer PruneImpl(const Transducer& t, OptimizeStats* stats) {
   return out;
 }
 
-/// The bisimulation quotient of an already-pruned transducer. `split`
-/// lists classes forced into singletons by emission conflicts (see
-/// MinimizeTransducer).
-struct Quotient {
-  std::vector<int> class_of;           // pruned state -> class id
-  std::vector<std::set<int>> classes;  // class id -> members
-};
-
-Quotient RefinePartition(const Transducer& t,
-                         const std::set<int>& singletons) {
-  const int n = t.num_states();
-  const int sigma = static_cast<int>(t.input_alphabet().size());
-  Quotient q;
-  q.class_of.assign(static_cast<size_t>(n), 0);
-  // Initial partition: accepting vs non-accepting, with conflict-forced
-  // states peeled into singletons up front.
-  {
-    std::map<std::tuple<bool, bool, int>, int> cls;
-    for (StateId s = 0; s < n; ++s) {
-      const bool single = singletons.count(static_cast<int>(s)) > 0;
-      auto key = std::make_tuple(t.IsAccepting(s), single,
-                                 single ? static_cast<int>(s) : -1);
-      auto [it, inserted] = cls.emplace(key, static_cast<int>(cls.size()));
-      q.class_of[static_cast<size_t>(s)] = it->second;
-    }
-  }
-  // Refine until stable: the signature of a state is its current class
-  // plus the set of (symbol, output, class(target)) triples. Outputs are
-  // part of the signature, so merged states emit identically edge-for-
-  // edge modulo target class. Grouping by (old class, signature) only
-  // ever refines the partition, so it is stable exactly when the class
-  // count stops growing.
-  size_t num_classes =
-      q.class_of.empty()
-          ? 0
-          : static_cast<size_t>(*std::max_element(q.class_of.begin(),
-                                                  q.class_of.end())) +
-                1;
-  for (;;) {
-    std::map<std::pair<int, std::set<std::tuple<int, Str, int>>>, int> next;
-    std::vector<int> next_class(static_cast<size_t>(n), 0);
-    for (StateId s = 0; s < n; ++s) {
-      std::set<std::tuple<int, Str, int>> sig;
-      for (int sym = 0; sym < sigma; ++sym) {
-        for (const Edge& e : t.Next(s, static_cast<Symbol>(sym))) {
-          sig.emplace(sym, e.output,
-                      q.class_of[static_cast<size_t>(e.target)]);
-        }
-      }
-      auto key = std::make_pair(q.class_of[static_cast<size_t>(s)],
-                                std::move(sig));
-      auto [it, inserted] = next.emplace(std::move(key),
-                                         static_cast<int>(next.size()));
-      next_class[static_cast<size_t>(s)] = it->second;
-    }
-    const size_t next_count = next.size();
-    q.class_of = std::move(next_class);
-    if (next_count == num_classes) break;
-    num_classes = next_count;
-  }
-  q.classes.assign(num_classes, {});
-  for (StateId s = 0; s < n; ++s) {
-    q.classes[static_cast<size_t>(q.class_of[static_cast<size_t>(s)])].insert(
-        static_cast<int>(s));
-  }
-  return q;
-}
-
 }  // namespace
 
 Transducer PruneTransducer(const Transducer& t, OptimizeStats* stats) {
   Stopwatch sw;
   OptimizeStats local;
   Transducer out = PruneImpl(t, &local);
-  RecordPass(local, sw.ElapsedNanos());
-  if (stats != nullptr) *stats = local;
-  return out;
-}
-
-Transducer MinimizeTransducer(const Transducer& t, OptimizeStats* stats) {
-  Stopwatch sw;
-  OptimizeStats local;
-  Transducer pruned = PruneImpl(t, &local);
-  const int n = pruned.num_states();
-  const int sigma = static_cast<int>(pruned.input_alphabet().size());
-
-  // Bisimulation quotient with an emission-conflict-split loop. A merge of
-  // targets q3 ~ q5 is invalid when some source has edges to both on the
-  // same symbol with DIFFERENT outputs — the quotient would need two
-  // outputs on one (class, symbol, class) triple, which deterministic
-  // emission forbids. On conflict the offending target class is split into
-  // singletons and refinement reruns; the partition strictly refines each
-  // round, so the loop terminates (worst case: all singletons = no merge).
-  std::set<int> singletons;
-  Quotient q;
-  for (;;) {
-    q = RefinePartition(pruned, singletons);
-    std::set<int> conflicted;
-    for (StateId s = 0; s < n; ++s) {
-      for (int sym = 0; sym < sigma; ++sym) {
-        std::map<int, const Str*> out_by_class;
-        for (const Edge& e : pruned.Next(s, static_cast<Symbol>(sym))) {
-          const int tc = q.class_of[static_cast<size_t>(e.target)];
-          auto [it, inserted] = out_by_class.emplace(tc, &e.output);
-          if (!inserted && !(*it->second == e.output)) conflicted.insert(tc);
-        }
-      }
-    }
-    if (conflicted.empty()) break;
-    for (int c : conflicted) {
-      for (int member : q.classes[static_cast<size_t>(c)]) {
-        singletons.insert(member);
-      }
-    }
-  }
-
-  // Stable renumbering: classes ordered by smallest member (in the pruned
-  // numbering, which is itself monotone in the input numbering).
-  std::vector<int> order(q.classes.size());
-  for (size_t c = 0; c < q.classes.size(); ++c) order[c] = static_cast<int>(c);
-  std::sort(order.begin(), order.end(), [&](int a, int b) {
-    return *q.classes[static_cast<size_t>(a)].begin() <
-           *q.classes[static_cast<size_t>(b)].begin();
-  });
-  std::vector<StateId> new_id(q.classes.size(), -1);
-  for (size_t rank = 0; rank < order.size(); ++rank) {
-    new_id[static_cast<size_t>(order[rank])] = static_cast<StateId>(rank);
-  }
-
-  Transducer out(pruned.input_alphabet(), pruned.output_alphabet(),
-                 static_cast<int>(q.classes.size()));
-  out.SetInitial(new_id[static_cast<size_t>(
-      q.class_of[static_cast<size_t>(pruned.initial())])]);
-  for (size_t c = 0; c < q.classes.size(); ++c) {
-    const StateId rep = static_cast<StateId>(*q.classes[c].begin());
-    out.SetAccepting(new_id[c], pruned.IsAccepting(rep));
-    // Merged states share their (symbol, output, target-class) edge sets,
-    // so the representative's edges are the class's edges. Duplicate adds
-    // of the same triple+output are idempotent in AddTransition.
-    for (int sym = 0; sym < sigma; ++sym) {
-      for (const Edge& e : pruned.Next(rep, static_cast<Symbol>(sym))) {
-        TMS_CHECK(out.AddTransition(
-                         new_id[c], static_cast<Symbol>(sym),
-                         new_id[static_cast<size_t>(
-                             q.class_of[static_cast<size_t>(e.target)])],
-                         e.output)
-                      .ok());
-      }
-    }
-  }
-  TMS_CHECK(out.Validate().ok());
-
-  local.states_merged = n - static_cast<int>(q.classes.size());
-  local.states_after = out.num_states();
-  local.edges_after = CountEdges(out);
   RecordPass(local, sw.ElapsedNanos());
   if (stats != nullptr) *stats = local;
   return out;

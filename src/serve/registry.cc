@@ -2,8 +2,6 @@
 
 #include "io/binary_format.h"
 #include "io/text_format.h"
-#include "optimize/artifact.h"
-#include "optimize/transducer_opt.h"
 
 namespace tms::serve {
 
@@ -61,21 +59,7 @@ Status ModelRegistry::Precompile(const std::string& model,
     return Status::InvalidArgument(
         context + "query input alphabet does not match the model alphabet");
   }
-  // Cold-start fast path: a fingerprint-valid persisted artifact is the
-  // optimized transducer; anything else (missing, stale, corrupted) falls
-  // back to the on-the-fly pass. Rejections are already counted loudly by
-  // the artifact layer — the server keeps serving correct answers either
-  // way.
-  const std::string artifact_path = query_path + ".opt";
-  StatusOr<transducer::Transducer> optimized =
-      optimize::LoadArtifactFile(artifact_path, *parsed);
-  if (!optimized.ok()) {
-    optimized = optimize::MinimizeTransducer(*parsed);
-    // Best-effort persistence: a read-only query directory costs future
-    // cold starts the pass, never the precompile itself.
-    (void)optimize::SaveArtifactFile(artifact_path, *parsed, *optimized);
-  }
-  return InsertPrecompiled(model, name, std::move(*optimized));
+  return InsertPrecompiled(model, name, *std::move(parsed));
 }
 
 Status ModelRegistry::InsertPrecompiled(const std::string& model,

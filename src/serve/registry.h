@@ -9,14 +9,11 @@
 // concurrent request threads read it without locks.
 //
 // Alongside the models the registry can hold PRECOMPILED queries:
-// transducers minimized offline (optimize/transducer_opt.h) at startup and
-// served by name via `precompiled=<name>` with an empty request body, so
-// hot queries skip both the body parse and the minimization pass. The
-// precompile step persists its result as a fingerprinted artifact next to
-// the query file (optimize/artifact.h) and loads it back on later cold
-// starts; a corrupted or stale artifact is rejected loudly
-// (`optimize.artifact_rejected`) and the query is recompiled on the fly —
-// never served from the bad file.
+// transducer files parsed once at startup and served by name via
+// `precompiled=<name>` with an empty request body, so hot queries skip
+// the body parse. The stored machine is the file's parse, unchanged: a
+// precompiled request runs the very transducer the same text sent as a
+// body runs, so its stream is byte-identical to the body query's.
 
 #ifndef TMS_SERVE_REGISTRY_H_
 #define TMS_SERVE_REGISTRY_H_
@@ -51,15 +48,9 @@ class ModelRegistry {
   std::vector<std::string> Names() const;
   size_t size() const { return models_.size(); }
 
-  /// Precompiles the transducer query at `query_path` for model `model`
+  /// Parses the transducer query at `query_path` for model `model`
   /// (which must already be registered and share the query's input
   /// alphabet) and registers it under `(model, name)`.
-  ///
-  /// The artifact `<query_path>.opt` is tried first (fingerprint-validated
-  /// against the parsed query); on NotFound or rejection the query is
-  /// minimized on the fly with optimize::MinimizeTransducer and the
-  /// artifact is rewritten best-effort (a read-only query directory only
-  /// costs the persistence, not the precompile).
   Status Precompile(const std::string& model, const std::string& name,
                     const std::string& query_path);
 

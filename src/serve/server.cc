@@ -354,8 +354,8 @@ void HttpServer::HandleQuery(int fd, RequestReader* reader,
   std::optional<query::Query> parsed;
   if (!params.precompiled.empty()) {
     // A precompiled query IS the request: the body stays empty and the
-    // stored transducer, minimized at registry load, runs through the
-    // same engine path as a body query.
+    // stored transducer, parsed from its file at registry load, runs
+    // through the same engine path as a body query.
     if (!req.body.empty()) {
       SendJsonError(fd, 400,
                     "precompiled queries take an empty body; got " +

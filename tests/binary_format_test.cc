@@ -1,8 +1,8 @@
 // Binary model snapshots (io/binary_format.h): lossless round trips for
 // every committed model plus randomized ones, adversarial rejection
-// (truncation, bit flips, fingerprint mismatch, trailing bytes), and the
-// `.tmsb` sibling flow LoadMarkovSequenceFile drives for tms_server
-// cold starts.
+// (truncation, bit flips, fingerprint mismatch, trailing bytes, unknown
+// kinds), and the `.tmsb` sibling flow LoadMarkovSequenceFile drives for
+// tms_server cold starts.
 
 #include "io/binary_format.h"
 
@@ -21,7 +21,6 @@
 #include "markov/markov_sequence.h"
 #include "obs/obs.h"
 #include "test_util.h"
-#include "transducer/transducer.h"
 #include "workload/random_models.h"
 
 #ifndef TMS_GOLDEN_DATA_DIR
@@ -47,14 +46,6 @@ std::vector<std::string> MarkovFiles() {
   };
 }
 
-std::vector<std::string> TransducerFiles() {
-  return {
-      std::string(TMS_GOLDEN_DATA_DIR) + "/fig2_query.tms",
-      std::string(TMS_GOLDEN_DATA_DIR) + "/motif_query.tms",
-      std::string(TMS_EXAMPLES_DATA_DIR) + "/place_tracker.tms",
-  };
-}
-
 markov::MarkovSequence ParseMarkovFile(const std::string& path) {
   auto text = io::ReadFile(path);
   EXPECT_TRUE(text.ok()) << path << ": " << text.status().ToString();
@@ -73,35 +64,15 @@ void ExpectMarkovRoundTrip(const markov::MarkovSequence& mu,
   auto decoded = io::DecodeModel(bytes);
   ASSERT_TRUE(decoded.ok()) << context << ": " << decoded.status().ToString();
   EXPECT_EQ(decoded->source_fp, 42u) << context;
-  ASSERT_TRUE(decoded->markov.has_value()) << context;
-  EXPECT_FALSE(decoded->transducer.has_value()) << context;
-  EXPECT_EQ(io::FormatMarkovSequence(*decoded->markov),
+  EXPECT_EQ(io::FormatMarkovSequence(decoded->markov),
             io::FormatMarkovSequence(mu))
       << context;
-  EXPECT_EQ(decoded->markov->has_exact(), mu.has_exact()) << context;
+  EXPECT_EQ(decoded->markov.has_exact(), mu.has_exact()) << context;
 }
 
 TEST(BinaryFormatTest, RoundTripsEveryCommittedMarkovModel) {
   for (const std::string& path : MarkovFiles()) {
     ExpectMarkovRoundTrip(ParseMarkovFile(path), path);
-  }
-}
-
-TEST(BinaryFormatTest, RoundTripsEveryCommittedTransducer) {
-  for (const std::string& path : TransducerFiles()) {
-    auto text = io::ReadFile(path);
-    ASSERT_TRUE(text.ok()) << path;
-    auto t = io::ParseTransducer(*text);
-    ASSERT_TRUE(t.ok()) << path << ": " << t.status().ToString();
-    const std::string bytes = io::EncodeTransducer(*t, /*source_fp=*/7);
-    auto decoded = io::DecodeModel(bytes);
-    ASSERT_TRUE(decoded.ok()) << path << ": " << decoded.status().ToString();
-    EXPECT_EQ(decoded->source_fp, 7u);
-    ASSERT_TRUE(decoded->transducer.has_value()) << path;
-    EXPECT_FALSE(decoded->markov.has_value()) << path;
-    EXPECT_EQ(io::FormatTransducer(*decoded->transducer),
-              io::FormatTransducer(*t))
-        << path;
   }
 }
 
@@ -119,16 +90,6 @@ TEST(BinaryFormatTest, RoundTripFuzzRandomModels) {
             : workload::RandomHomogeneousMarkovSequence(sigma, n, support,
                                                         rng);
     ExpectMarkovRoundTrip(mu, "round " + std::to_string(round));
-
-    workload::RandomTransducerOptions opts;
-    opts.num_states = static_cast<int>(rng.UniformInt(2, 5));
-    transducer::Transducer t = workload::RandomTransducer(
-        workload::MakeSymbols(sigma), opts, rng);
-    const std::string bytes = io::EncodeTransducer(t);
-    auto decoded = io::DecodeModel(bytes);
-    ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
-    EXPECT_EQ(io::FormatTransducer(*decoded->transducer),
-              io::FormatTransducer(t));
   }
 }
 
@@ -157,6 +118,29 @@ TEST(BinaryFormatTest, TrailingBytesAreRejected) {
       ParseMarkovFile(std::string(TMS_GOLDEN_DATA_DIR) + "/fig1.tms"));
   bytes += '\0';
   EXPECT_FALSE(io::DecodeModel(bytes).ok());
+}
+
+TEST(BinaryFormatTest, UnknownKindIsRejected) {
+  // Kind 1 (markov-sequence) is the only kind: any other kind byte,
+  // resealed under a valid fingerprint, is rejected. Queries have no
+  // binary image (kind 2 included); their one persisted form is text.
+  const std::string bytes = io::EncodeMarkovSequence(
+      ParseMarkovFile(std::string(TMS_GOLDEN_DATA_DIR) + "/fig1.tms"));
+  const size_t fp_at = io::kBinaryMagic.size();
+  const size_t kind_at = fp_at + 8;
+  for (int kind : {0, 2, 3}) {
+    std::string other = bytes;
+    other[kind_at] = static_cast<char>(kind);
+    const uint64_t fp = io::Fnv1a64(std::string_view(other).substr(kind_at));
+    for (size_t i = 0; i < 8; ++i) {
+      other[fp_at + i] = static_cast<char>((fp >> (8 * i)) & 0xff);
+    }
+    auto decoded = io::DecodeModel(other);
+    ASSERT_FALSE(decoded.ok()) << "kind " << kind << " accepted";
+    EXPECT_NE(decoded.status().ToString().find("unknown model kind"),
+              std::string::npos)
+        << decoded.status();
+  }
 }
 
 TEST(BinaryFormatTest, EveryBitFlipIsRejected) {
@@ -276,7 +260,7 @@ TEST_F(SnapshotFlowTest, FirstLoadParsesTextAndWritesSibling) {
   auto decoded = io::DecodeModel(ReadAll(io::SnapshotPath(path_)));
   ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
   EXPECT_EQ(decoded->source_fp, io::Fnv1a64(kModelText));
-  EXPECT_EQ(io::FormatMarkovSequence(*decoded->markov),
+  EXPECT_EQ(io::FormatMarkovSequence(decoded->markov),
             io::FormatMarkovSequence(*mu));
 }
 

@@ -15,11 +15,10 @@
 //   * shutdown drains: parked connections observe the stop flag, live
 //     streams end with a CANCELLED footer, Shutdown() joins everything;
 //   * precompiled queries (registry Precompile + ?precompiled=): the
-//     stored stream is byte-identical to the body-query stream, the
-//     artifact persists and reloads on a second cold start, a corrupted
-//     artifact is rejected loudly (optimize.artifact_rejected) with a
-//     correct on-the-fly fallback, and the request plane 400s non-empty
-//     bodies / 404s unknown names.
+//     registry stores the query file's parse unchanged, its stream is
+//     byte-identical to the body-query stream (exact score ties
+//     included), and the request plane 400s non-empty bodies / 404s
+//     unknown names.
 //
 // Labeled `serve` (with `concurrency` where threads race); run just these
 // with `ctest -L serve`.
@@ -47,8 +46,6 @@
 #include "gtest/gtest.h"
 #include "io/text_format.h"
 #include "obs/metrics.h"
-#include "optimize/artifact.h"
-#include "optimize/transducer_opt.h"
 #include "query/confidence.h"
 #include "query/engine_factory.h"
 #include "serve/registry.h"
@@ -624,27 +621,39 @@ std::string WriteTempFile(const std::string& name, const std::string& text) {
   return path;
 }
 
-int64_t CounterValue(const char* name) {
-  return obs::Registry::Global().counter(name).value();
-}
+// A fair coin tossed twice: nodes s0 s1, every probability 1/2.
+constexpr char kCoinModel[] =
+    "markov-sequence\n"
+    "nodes s0 s1\n"
+    "length 2\n"
+    "initial s0 1/2 s1 1/2\n"
+    "transition 1 s0 -> s0 1/2 s1 1/2\n"
+    "transition 1 s1 -> s0 1/2 s1 1/2\n"
+    "end\n";
 
-// Counter deltas are only observable when obs is compiled in; disabled
-// builds (-DTMS_OBS=OFF) still exercise the functional plane below
-// (artifact files on disk, fallback machines) and skip the metric check.
-void ExpectCounterDelta(const char* name, int64_t before, int64_t delta) {
-#if TMS_OBS_ACTIVE
-  EXPECT_EQ(CounterValue(name), before + delta) << name;
-#else
-  (void)name;
-  (void)before;
-  (void)delta;
-#endif
-}
+// A query over the coin whose state 2 is a copy of state 0. Its two
+// answers, o0 and ε, tie at E_max 1/4, so the stream's order is the
+// engine's tie-break on this very machine: a precompiled form that
+// merged state 2 into state 0 would stream ε first.
+constexpr char kCoinQuery[] =
+    "transducer\n"
+    "input s0 s1\n"
+    "output o0 o1\n"
+    "states 3\n"
+    "initial 0\n"
+    "accepting 0 1 2\n"
+    "edge 0 s0 -> 2 :\n"
+    "edge 0 s1 -> 1 : o0\n"
+    "edge 0 s1 -> 2 :\n"
+    "edge 1 s0 -> 1 :\n"
+    "edge 1 s1 -> 0 :\n"
+    "edge 2 s0 -> 2 :\n"
+    "edge 2 s1 -> 1 : o0\n"
+    "edge 2 s1 -> 2 :\n"
+    "end\n";
 
 class ServePrecompileTest : public ServeTest {
  protected:
-  void SetUp() override { obs::SetEnabled(true); }
-
   // A fig1-alphabet query file (the running example's transducer).
   std::string WriteQueryFile(const std::string& name) {
     return WriteTempFile(name,
@@ -658,94 +667,67 @@ class ServePrecompileTest : public ServeTest {
   }
 };
 
-TEST_F(ServePrecompileTest, RegistryPrecompilesAndPersistsArtifact) {
+TEST_F(ServePrecompileTest, RegistryPrecompilesQueryFiles) {
   const std::string query_path = WriteQueryFile("precompile_basic.tms");
-  const std::string artifact_path = query_path + ".opt";
-  std::remove(artifact_path.c_str());
 
   ModelRegistry registry = MakeRegistry();
-  EXPECT_FALSE(std::ifstream(artifact_path).good());
-  // The first precompile runs the pass and persists the artifact.
-  const int64_t saved_before = CounterValue("optimize.artifact_saved");
-  ASSERT_TRUE(registry.Precompile("fig1", "opt", query_path).ok());
-  ExpectCounterDelta("optimize.artifact_saved", saved_before, 1);
-  EXPECT_TRUE(std::ifstream(artifact_path).good());
-  const transducer::Transducer* opt = registry.FindPrecompiled("fig1", "opt");
-  ASSERT_NE(opt, nullptr);
-  EXPECT_LE(opt->num_states(), workload::Figure2Transducer().num_states());
+  ASSERT_TRUE(registry.Precompile("fig1", "fig2", query_path).ok());
+  const transducer::Transducer* stored =
+      registry.FindPrecompiled("fig1", "fig2");
+  ASSERT_NE(stored, nullptr);
+  // The stored machine is the file's parse, unchanged.
+  auto text = io::ReadFile(query_path);
+  ASSERT_TRUE(text.ok()) << text.status();
+  auto parsed = io::ParseTransducer(*text);
+  ASSERT_TRUE(parsed.ok()) << parsed.status();
+  EXPECT_EQ(io::FormatTransducer(*stored), io::FormatTransducer(*parsed));
 
-  // A second cold start loads the persisted artifact instead of
-  // re-optimizing.
-  const int64_t loaded_before = CounterValue("optimize.artifact_loaded");
-  ModelRegistry cold = MakeRegistry();
-  ASSERT_TRUE(cold.Precompile("fig1", "opt", query_path).ok());
-  ExpectCounterDelta("optimize.artifact_loaded", loaded_before, 1);
-  const transducer::Transducer* reloaded = cold.FindPrecompiled("fig1", "opt");
-  ASSERT_NE(reloaded, nullptr);
-  EXPECT_EQ(io::FormatTransducer(*reloaded), io::FormatTransducer(*opt));
-
-  // The error plane: unknown model, duplicate name, empty name.
+  // The error plane: unknown model, alphabet mismatch, duplicate name,
+  // empty name.
+  const std::string coin_path =
+      WriteTempFile("precompile_coin_query.tms", kCoinQuery);
   EXPECT_FALSE(registry.Precompile("ghost", "q", query_path).ok());
-  EXPECT_FALSE(registry.Precompile("fig1", "opt", query_path).ok());
+  EXPECT_FALSE(registry.Precompile("fig1", "coin", coin_path).ok());
+  EXPECT_FALSE(registry.Precompile("fig1", "fig2", query_path).ok());
   EXPECT_FALSE(registry.Precompile("fig1", "", query_path).ok());
   EXPECT_EQ(registry.PrecompiledNames(),
-            (std::vector<std::string>{"fig1:opt"}));
-}
-
-TEST_F(ServePrecompileTest, CorruptArtifactRejectedLoudlyWithFallback) {
-  const std::string query_path = WriteQueryFile("precompile_corrupt.tms");
-  const std::string artifact_path = query_path + ".opt";
-
-  // Seed a corrupted artifact: right magic, wrong everything else.
-  WriteTempFile("precompile_corrupt.tms.opt",
-                "# tms-opt-artifact v1\n# source-fp 0000000000000000\n");
-
-  const int64_t rejected_before = CounterValue("optimize.artifact_rejected");
-  ModelRegistry registry = MakeRegistry();
-  ASSERT_TRUE(registry.Precompile("fig1", "q", query_path).ok());
-  // The rejection was loud...
-  ExpectCounterDelta("optimize.artifact_rejected", rejected_before, 1);
-  // ...the fallback compiled on the fly to the same machine the pass
-  // produces...
-  const transducer::Transducer* stored = registry.FindPrecompiled("fig1", "q");
-  ASSERT_NE(stored, nullptr);
-  EXPECT_EQ(io::FormatTransducer(*stored),
-            io::FormatTransducer(
-                optimize::MinimizeTransducer(workload::Figure2Transducer())));
-  // ...and the bad file was overwritten with a valid artifact.
-  auto reloaded = optimize::LoadArtifactFile(artifact_path,
-                                             workload::Figure2Transducer());
-  ASSERT_TRUE(reloaded.ok()) << reloaded.status();
-  EXPECT_EQ(io::FormatTransducer(*reloaded), io::FormatTransducer(*stored));
-
-  // An artifact for a DIFFERENT source transducer is rejected the same
-  // loud way (stale fingerprint), not silently served.
-  transducer::Transducer other(workload::Figure2Transducer());
-  other.AddState();
-  auto stale = optimize::LoadArtifactFile(artifact_path, other);
-  EXPECT_FALSE(stale.ok());
+            (std::vector<std::string>{"fig1:fig2"}));
 }
 
 TEST_F(ServePrecompileTest, PrecompiledRequestStreamsIdenticalBytes) {
   const std::string query_path = WriteQueryFile("precompile_serve.tms");
-  std::remove((query_path + ".opt").c_str());
+  const std::string coin_path =
+      WriteTempFile("precompile_serve_coin.tms", kCoinQuery);
+  auto coin = io::ParseMarkovSequence(kCoinModel);
+  ASSERT_TRUE(coin.ok()) << coin.status();
 
-  ModelRegistry registry;
-  ASSERT_TRUE(registry.Insert("fig1", workload::Figure1Sequence()).ok());
+  ModelRegistry registry = MakeRegistry();
+  ASSERT_TRUE(registry.Insert("coin", *std::move(coin)).ok());
   ASSERT_TRUE(registry.Precompile("fig1", "top", query_path).ok());
+  ASSERT_TRUE(registry.Precompile("coin", "clone", coin_path).ok());
   server_ = std::make_unique<HttpServer>(std::move(registry), ServerOptions{});
   ASSERT_TRUE(server_->Start().ok());
   port_ = server_->port();
 
-  // The stored stream is byte-identical to the same query sent by body —
-  // minimization must not move a single byte.
-  auto by_body = ParseResponse(Post(port_, "/query/fig1?k=3", QueryBody()));
-  auto by_name =
-      ParseResponse(Post(port_, "/query/fig1?k=3&precompiled=top", ""));
-  ASSERT_TRUE(by_body.has_value());
-  ASSERT_TRUE(by_name.has_value());
-  EXPECT_EQ(by_name->code, 200);
-  EXPECT_EQ(by_name->body, by_body->body);
+  // The stored stream is byte-identical to the same query sent by body:
+  // a precompiled query is the body query, parsed ahead of time. The
+  // coin query's two answers tie, so its stream pins the order too.
+  const struct {
+    std::string model, name, body;
+  } cases[] = {{"fig1", "top", QueryBody()}, {"coin", "clone", kCoinQuery}};
+  for (const auto& c : cases) {
+    SCOPED_TRACE(c.model + ":" + c.name);
+    auto by_body =
+        ParseResponse(Post(port_, "/query/" + c.model + "?k=3", c.body));
+    auto by_name = ParseResponse(Post(
+        port_, "/query/" + c.model + "?k=3&precompiled=" + c.name, ""));
+    ASSERT_TRUE(by_body.has_value());
+    ASSERT_TRUE(by_name.has_value());
+    EXPECT_EQ(by_body->code, 200);
+    EXPECT_EQ(by_name->code, 200);
+    EXPECT_GE(Lines(by_body->body).size(), 3u);  // two answers + footer
+    EXPECT_EQ(by_name->body, by_body->body);
+  }
 
   // Non-empty bodies are a 400 (the name IS the query)...
   auto with_body = ParseResponse(

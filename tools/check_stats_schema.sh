@@ -15,6 +15,11 @@
 #   TMS_UPDATE_GOLDEN=1 tools/check_stats_schema.sh \
 #       <tms_cli> <data> <golden> <explain-golden>
 #
+# Both key sets are compared on every run; each divergent golden is
+# reported and the script exits 1 only after both checks ran, so a change
+# that moves the --stats=json schema still shows whether it moved the
+# explain schema too.
+#
 # A MISSING golden file is a hard failure, never a skip: a schema check
 # that silently passes because its baseline vanished is worse than no
 # check at all.
@@ -28,31 +33,26 @@ DATA="$2"
 GOLDEN="$3"
 EXPLAIN_GOLDEN="$4"
 
+failed=""
+
 json_keys() {
   grep -o '"[^"]*":' | LC_ALL=C sort -u
 }
 
-# fail_missing <golden-path>: refuse to "pass" against a baseline that
-# does not exist.
-fail_missing() {
-  echo "MISSING golden file: $1" >&2
-  echo "a missing golden is an error, not a skip" >&2
-  echo "generate it deliberately with TMS_UPDATE_GOLDEN=1 $0 $CLI $DATA $GOLDEN $EXPLAIN_GOLDEN" >&2
-  exit 1
-}
-
-check_keys() { # keys golden label
+# check_keys <keys> <golden> <label>: records a missing or divergent
+# golden in $failed and returns, so the next check still runs.
+check_keys() {
   keys="$1"; golden="$2"; label="$3"
   if [ -n "${TMS_UPDATE_GOLDEN:-}" ]; then
     printf '%s\n' "$keys" > "$golden"
     echo "updated $golden"
-    return 0
-  fi
-  [ -f "$golden" ] || fail_missing "$golden"
-  if ! printf '%s\n' "$keys" | diff -u "$golden" -; then
+  elif [ ! -f "$golden" ]; then
+    echo "MISSING golden file: $golden (a missing golden is an error," \
+         "not a skip)" >&2
+    failed="$failed $golden"
+  elif ! printf '%s\n' "$keys" | diff -u "$golden" -; then
     echo "$label key set diverged from $golden" >&2
-    echo "regenerate deliberately with TMS_UPDATE_GOLDEN=1 $0 $CLI $DATA $GOLDEN $EXPLAIN_GOLDEN" >&2
-    exit 1
+    failed="$failed $golden"
   fi
 }
 
@@ -73,7 +73,14 @@ EXPLAIN_OBJ=$(printf '%s' "$EXPLAIN_OUT" \
               | sed -n 's/.*"explain":{\(.*\)}},"metrics".*/\1/p')
 if [ -z "$EXPLAIN_OBJ" ]; then
   echo "tms_cli explain --stats=json emitted no \"explain\" object" >&2
+  failed="$failed $EXPLAIN_GOLDEN"
+else
+  check_keys "$(printf '%s' "$EXPLAIN_OBJ" | json_keys)" "$EXPLAIN_GOLDEN" \
+             "explain"
+fi
+
+if [ -n "$failed" ]; then
+  echo "stats schema diverged:$failed" >&2
+  echo "regenerate deliberately with TMS_UPDATE_GOLDEN=1 $0 $CLI $DATA $GOLDEN $EXPLAIN_GOLDEN" >&2
   exit 1
 fi
-check_keys "$(printf '%s' "$EXPLAIN_OBJ" | json_keys)" "$EXPLAIN_GOLDEN" \
-           "explain"

@@ -16,8 +16,9 @@
 #   5. serve:  `ctest -L serve` in the default build — the serving unit +
 #              integration suites plus the serve_smoke end-to-end script
 #              (ephemeral-port tms_server: healthz, /metrics parse, one
-#              streamed query byte-compared against tms_cli, clean
-#              SIGTERM drain)
+#              streamed query byte-compared against tms_cli, the same
+#              query --precompile'd and streamed by name, clean SIGTERM
+#              drain)
 #   6. dist:   `ctest -L dist` in the default build — the shard-equivalence
 #              + fault suites plus the dist_smoke end-to-end script
 #              (real workers on ephemeral ports, topology byte-identity,

@@ -4,14 +4,18 @@
 # ctest:
 #
 #   1. start tms_server on an ephemeral port (--port-file) with the
-#      sample hospital model;
+#      sample hospital model and the sample query precompiled as
+#      `tracker`, both copied to the temp dir (the server writes the
+#      model's .tmsb snapshot beside it, never beside the sample data);
 #   2. GET /healthz must answer "ok";
 #   3. GET /metrics must parse as Prometheus text exposition;
 #   4. POST /query/hospital must stream answer lines that are
 #      byte-identical, in order, to the `results` array of
 #      `tms_cli topk --stats=json` for the same model and query, and end
 #      with a {"done":true,...} footer;
-#   5. SIGTERM must drain the server cleanly (exit 0).
+#   5. POST /query/hospital?precompiled=tracker with an empty body must
+#      stream the same answer lines, in the same order;
+#   6. SIGTERM must drain the server cleanly (exit 0).
 #
 #   tools/serve_smoke.sh <tms_server-binary> <tms_cli-binary> <data-dir>
 set -eu
@@ -21,12 +25,15 @@ CLI="$2"
 DATA="$3"
 
 WORK=$(mktemp -d)
+SERVER_PID=""
 trap 'status=$?; kill "$SERVER_PID" 2>/dev/null || true; rm -rf "$WORK"; exit $status' EXIT INT TERM
 
-MODEL="$DATA/hospital.tms"
-QUERY="$DATA/place_tracker.tms"
+cp "$DATA/hospital.tms" "$DATA/place_tracker.tms" "$WORK/"
+MODEL="$WORK/hospital.tms"
+QUERY="$WORK/place_tracker.tms"
 
-"$SERVER" --port-file="$WORK/port" hospital="$MODEL" 2>"$WORK/server.log" &
+"$SERVER" --port-file="$WORK/port" --precompile=hospital:tracker="$QUERY" \
+  hospital="$MODEL" 2>"$WORK/server.log" &
 SERVER_PID=$!
 
 # Wait for the port file (the server writes it once listening).
@@ -88,6 +95,27 @@ for line in answers:
     assert found > pos, f"out of order: {line}"
     pos = found
 print(f"    {len(answers)} answer lines byte-identical and in order")
+EOF
+
+echo "==> [serve] POST /query/hospital?precompiled=tracker streams the same answers"
+curl -sf --data-binary "" "$BASE/query/hospital?k=3&precompiled=tracker" >"$WORK/precompiled"
+python3 - "$WORK/cli.json" "$WORK/stream" "$WORK/precompiled" <<'EOF'
+import json, sys
+cli_doc = open(sys.argv[1]).read()
+body = [l for l in open(sys.argv[2]).read().splitlines() if l]
+named = [l for l in open(sys.argv[3]).read().splitlines() if l]
+assert len(named) >= 2, f"expected answers + footer, got {named}"
+footer = json.loads(named[-1])
+assert footer.get("done") is True, footer
+assert footer["exec"]["reason"] == "NONE", footer
+answers = named[:-1]
+assert answers == body[:-1], f"precompiled {answers} != body {body[:-1]}"
+pos = -1
+for line in answers:
+    found = cli_doc.find(line)
+    assert found > pos, f"not in CLI output, or out of order: {line}"
+    pos = found
+print(f"    {len(answers)} answer lines equal to the body request's and the CLI's, in order")
 EOF
 
 echo "==> [serve] truncation footer carries the stop reason"

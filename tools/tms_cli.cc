@@ -27,11 +27,6 @@
 //       traffic, composed-automaton sizes, budget/deadline consumption)
 //       instead of the answers. With --stats=json the report is the
 //       "explain" field of the JSON document.
-//   tms_cli optimize <query-file> [artifact-out]
-//       Offline optimization (docs/OPTIMIZE.md): prune + minimize the
-//       transducer query and write a fingerprinted artifact (default
-//       <query-file>.opt) that tms_server loads at registry precompile.
-//       Prints the before/after state and edge counts.
 //   tms_cli show  <file>
 //       Parse a model/query file and print its canonical form.
 //
@@ -92,8 +87,6 @@
 #include "kernels/backend.h"
 #include "obs/explain.h"
 #include "obs/obs.h"
-#include "optimize/artifact.h"
-#include "optimize/transducer_opt.h"
 #include "projector/imax_enum.h"
 #include "projector/sprojector_confidence.h"
 #include "query/answers.h"
@@ -206,7 +199,6 @@ int Usage() {
                "       tms_cli dist <query> <k> "
                "--workers=host:port[,host:port...]\n"
                "       tms_cli explain <sequence> <query> [k]\n"
-               "       tms_cli optimize <query> [artifact-out]\n"
                "       tms_cli show <file>\n"
                "flags: --threads=N | --deadline-ms=N | --max-answers=N | "
                "--budget=N |\n"
@@ -528,46 +520,6 @@ int RunShow(const std::string& path, CliOutput* out) {
   return 0;
 }
 
-// Offline optimization: prune + minimize the transducer query and persist
-// the result as a fingerprinted artifact (optimize/artifact.h) that the
-// server's registry precompile loads at cold start.
-int RunOptimize(const std::string& query_path, const std::string& out_path,
-                CliOutput* out) {
-  auto query = ReadQuery(query_path);
-  if (!query.ok()) return Fail(query.status());
-  if (!std::holds_alternative<transducer::Transducer>(*query)) {
-    return Fail(Status::InvalidArgument(
-        "optimize expects a transducer query; s-projectors compose no "
-        "product automaton and have nothing to optimize"));
-  }
-  const transducer::Transducer& t = std::get<transducer::Transducer>(*query);
-  optimize::OptimizeStats stats;
-  transducer::Transducer optimized = optimize::MinimizeTransducer(t, &stats);
-  Status saved = optimize::SaveArtifactFile(out_path, t, optimized);
-  if (!saved.ok()) return Fail(saved);
-  if (out->json) {
-    char buf[256];
-    std::snprintf(buf, sizeof(buf),
-                  "{\"artifact\":\"%s\",\"states_before\":%d,"
-                  "\"states_after\":%d,\"edges_before\":%d,"
-                  "\"edges_after\":%d,\"states_unreachable\":%d,"
-                  "\"states_dead\":%d,\"states_merged\":%d}",
-                  out_path.c_str(), stats.states_before, stats.states_after,
-                  stats.edges_before, stats.edges_after,
-                  stats.states_unreachable, stats.states_dead,
-                  stats.states_merged);
-    out->results = buf;
-  } else {
-    std::printf("optimized %s -> %s\n", query_path.c_str(), out_path.c_str());
-    std::printf("  states: %d -> %d (unreachable %d, dead %d, merged %d)\n",
-                stats.states_before, stats.states_after,
-                stats.states_unreachable, stats.states_dead,
-                stats.states_merged);
-    std::printf("  edges:  %d -> %d\n", stats.edges_before, stats.edges_after);
-  }
-  return 0;
-}
-
 // Parses the value part of `--flag=N` as a nonnegative integer; false on
 // empty, non-digit, or overflowing input (atoll would silently read "abc"
 // as 0, turning a typo into a budget of zero).
@@ -759,10 +711,6 @@ int main(int argc, char** argv) {
     if (suppress_tables) out.json = true;
     if (command == "show") {
       code = RunShow(args[1], &out);
-    } else if (command == "optimize") {
-      const std::string artifact =
-          args.size() >= 3 ? args[2] : args[1] + ".opt";
-      code = RunOptimize(args[1], artifact, &out);
     } else if (args.size() < 3) {
       return Usage();
     } else if (command == "topk" || explain_command) {

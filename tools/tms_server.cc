@@ -23,14 +23,11 @@
 //   --max-connections=N open-connection cap; excess connections get 503
 //   --backend=dense|sparse|auto  default kernel backend (per-request
 //                       ?backend= overrides)
-//   --precompile=<model>:<name>=<query-file>  minimize the transducer
-//                       query offline at startup and serve it by name via
+//   --precompile=<model>:<name>=<query-file>  parse the transducer query
+//                       file once at startup and serve it by name via
 //                       ?precompiled=<name> with an empty body; the
-//                       minimized machine persists as <query-file>.opt and
-//                       later cold starts load the artifact directly
-//                       (fingerprint-checked; corrupt artifacts recompile
-//                       with a loud optimize.artifact_rejected). May
-//                       repeat.
+//                       stream is byte-identical to sending the file's
+//                       text as the body. May repeat.
 //   --port-file=PATH    write the bound port to PATH once listening
 //                       (scripts bind port 0 and read this back)
 //
