@@ -27,149 +27,20 @@ void CountGemm(size_t cells) {
   (void)cells;
 }
 
-void CountArgmax(size_t cells) {
-  TMS_OBS_COUNT("kernels.argmax.calls", 1);
-  TMS_OBS_COUNT("kernels.argmax.cells", static_cast<int64_t>(cells));
-  (void)cells;
-}
-
 }  // namespace internal
-
-namespace ref {
-
-void MaxPlusGemvArgmax(const Matrix<double>& A, const Vector<double>& x,
-                       Vector<double>* y, Vector<int32_t>* arg) {
-  TMS_DCHECK(A.cols() == x.size() && A.rows() == y->size() &&
-             A.rows() == arg->size());
-  for (size_t i = 0; i < A.rows(); ++i) {
-    double best = MaxPlus::Zero();
-    int32_t best_j = 0;
-    for (size_t j = 0; j < A.cols(); ++j) {
-      double v = A(i, j) + x[j];
-      if (v > best) {
-        best = v;
-        best_j = static_cast<int32_t>(j);
-      }
-    }
-    (*y)[i] = best;
-    (*arg)[i] = best_j;
-  }
-}
-
-void MaxPlusGemmTNArgmax(const Matrix<double>& A, const Matrix<double>& B,
-                         Matrix<double>* C, Matrix<int32_t>* Arg) {
-  TMS_DCHECK(A.rows() == B.rows() && A.cols() == C->rows() &&
-             B.cols() == C->cols() && Arg->rows() == C->rows() &&
-             Arg->cols() == C->cols());
-  for (size_t i = 0; i < C->rows(); ++i) {
-    for (size_t j = 0; j < C->cols(); ++j) {
-      double best = MaxPlus::Zero();
-      int32_t best_k = 0;
-      for (size_t k = 0; k < A.rows(); ++k) {
-        double v = A(k, i) + B(k, j);
-        if (v > best) {
-          best = v;
-          best_k = static_cast<int32_t>(k);
-        }
-      }
-      (*C)(i, j) = best;
-      (*Arg)(i, j) = best_k;
-    }
-  }
-}
-
-}  // namespace ref
-
-void MaxPlusEdgeScatter(const Matrix<double>& src, const int32_t* off,
-                        const int32_t* tgt, Matrix<double>* dst) {
-  TMS_DCHECK(src.rows() == dst->rows());
-  const size_t rows = src.rows(), cols = src.cols();
-  dst->Fill(MaxPlus::Zero());
-  for (size_t r = 0; r < rows; ++r) {
-    const double* TMS_RESTRICT srow = src.row(r);
-    double* TMS_RESTRICT drow = dst->row(r);
-    const int32_t* TMS_RESTRICT o = off + r * cols;
-    for (size_t c = 0; c < cols; ++c) {
-      const double v = srow[c];
-      for (int32_t e = o[c]; e < o[c + 1]; ++e) {
-        const int32_t t = tgt[e];
-        drow[t] = v > drow[t] ? v : drow[t];
-      }
-    }
-  }
-}
-
-void MaxPlusGemvArgmax(const Matrix<double>& A, const Vector<double>& x,
-                       Vector<double>* y, Vector<int32_t>* arg) {
-  TMS_DCHECK(A.cols() == x.size() && A.rows() == y->size() &&
-             A.rows() == arg->size());
-  const size_t m = A.rows(), n = A.cols();
-  const double* TMS_RESTRICT xp = x.data();
-  double* TMS_RESTRICT yp = y->data();
-  int32_t* TMS_RESTRICT ap = arg->data();
-  for (size_t i = 0; i < m; ++i) {
-    const double* TMS_RESTRICT a = A.row(i);
-    double best = MaxPlus::Zero();
-    int32_t best_j = 0;
-    // Strict > with ascending j keeps the smallest maximizing index —
-    // the select-compress pattern GCC turns into masked compares.
-    for (size_t j = 0; j < n; ++j) {
-      double v = a[j] + xp[j];
-      if (v > best) {
-        best = v;
-        best_j = static_cast<int32_t>(j);
-      }
-    }
-    yp[i] = best;
-    ap[i] = best_j;
-  }
-  internal::CountArgmax(m * n);
-}
-
-void MaxPlusGemmTNArgmax(const Matrix<double>& A, const Matrix<double>& B,
-                         Matrix<double>* C, Matrix<int32_t>* Arg) {
-  TMS_DCHECK(A.rows() == B.rows() && A.cols() == C->rows() &&
-             B.cols() == C->cols() && Arg->rows() == C->rows() &&
-             Arg->cols() == C->cols());
-  const size_t K = A.rows(), m = C->rows(), n = C->cols();
-  C->Fill(MaxPlus::Zero());
-  Arg->Fill(0);
-  // k-outer: each (k,i) broadcasts one A score across contiguous B/C/Arg
-  // rows. Strict > with k ascending preserves the smallest-k tie-break of
-  // the scalar reference exactly — the Viterbi backpointer contract.
-  for (size_t k = 0; k < K; ++k) {
-    const double* TMS_RESTRICT arow = A.row(k);
-    const double* TMS_RESTRICT brow = B.row(k);
-    for (size_t i = 0; i < m; ++i) {
-      const double a = arow[i];
-      double* TMS_RESTRICT crow = C->row(i);
-      int32_t* TMS_RESTRICT grow = Arg->row(i);
-      const int32_t kk = static_cast<int32_t>(k);
-      for (size_t j = 0; j < n; ++j) {
-        double v = a + brow[j];
-        if (v > crow[j]) {
-          crow[j] = v;
-          grow[j] = kk;
-        }
-      }
-    }
-  }
-  internal::CountArgmax(K * m * n);
-}
 
 // Hot-path instantiations, compiled here under this file's vectorization
 // flags (see src/CMakeLists.txt) and declared extern in kernels.h.
 #define TMS_KERNELS_INSTANTIATE_SR(SR)                                   \
-  template void Gemv<SR>(const Matrix<SR::Value>&,                       \
-                         const Vector<SR::Value>&, Vector<SR::Value>*);  \
   template void GemvT<SR>(const Matrix<SR::Value>&,                      \
                           const Vector<SR::Value>&, Vector<SR::Value>*); \
   template void GemmTN<SR>(const Matrix<SR::Value>&,                     \
                            const Matrix<SR::Value>&, Matrix<SR::Value>*); \
   template void RowReduce<SR>(const Matrix<SR::Value>&,                  \
-                              Vector<SR::Value>*)
+                              Vector<SR::Value>*);                       \
+  template void EdgeScatter<SR>(const Matrix<SR::Value>&, const int32_t*, \
+                                const int32_t*, Matrix<SR::Value>*)
 TMS_KERNELS_INSTANTIATE_SR(MaxPlus);
-TMS_KERNELS_INSTANTIATE_SR(LogSumExp);
 TMS_KERNELS_INSTANTIATE_SR(Real);
 TMS_KERNELS_INSTANTIATE_SR(BoolOr);
 #undef TMS_KERNELS_INSTANTIATE_SR

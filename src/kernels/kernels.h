@@ -14,35 +14,29 @@
 // Accuracy contract:
 //   * MaxPlus and BoolOr are reordering-free (SR::kExactReorder): blocked
 //     results are bit-identical to ref:: for NaN-free inputs.
-//   * Real and LogSumExp round, so blocked evaluation may differ from
-//     ref:: by reassociation error. Guarantee: |blocked - ref| <=
+//   * Real rounds, so blocked evaluation may differ from ref:: by
+//     reassociation error. Guarantee: |blocked - ref| <=
 //     8 * eps * (|reduction length| terms) relative — in practice a few
 //     ulps; kernels_test pins it at 1e-12 relative.
 //   * NaN inputs are rejected by contract, not laundered: callers must
 //     not pass NaN (HasNaN() is the test hook; TMS_DCHECKed on entry).
-//     -inf (the MaxPlus/LogSumExp Zero) is a first-class value.
+//     -inf (the MaxPlus Zero) is a first-class value.
 //
 // Index conventions (all matrices row-major, see dense.h):
-//   Gemv:     y[i]   = ⊕_j A(i,j) ⊗ x[j]           (A: m×n, x: n, y: m)
-//   GemvT:    y[j]   = ⊕_i A(i,j) ⊗ x[i]           (A: m×n, x: m, y: n)
-//   GemmTN:   C(i,j) = ⊕_k A(k,i) ⊗ B(k,j)         (A: K×m, B: K×n, C: m×n)
-//   RowReduce: y[i]  = ⊕_j A(i,j)
+//   GemvT:       y[j]   = ⊕_i A(i,j) ⊗ x[i]        (A: m×n, x: m, y: n)
+//   GemmTN:      C(i,j) = ⊕_k A(k,i) ⊗ B(k,j)      (A: K×m, B: K×n, C: m×n)
+//   RowReduce:   y[i]   = ⊕_j A(i,j)
+//   EdgeScatter: D(r,t) = ⊕ over the CSR edges (r, c) → t of S(r,c)
 // The TN (transposed-A) gemm shape is what the layered DPs need: layer
-// vectors keep the large state dimension unit-stride in memory.
-//
-// Argmax variants (MaxPlus only) additionally record *which* reduction
-// index attained the ⊕-maximum, breaking ties toward the smallest index
-// (strict >, ascending scan) — exactly the tie-break the scalar Viterbi
-// DPs use, which keeps backpointer chains, and therefore answer streams,
-// byte-identical.
+// vectors keep the large state dimension unit-stride in memory. GemmTN
+// (or SpGemm) followed by EdgeScatter is one layer of every column-graph
+// DP (query/column_graph.h).
 
 #ifndef TMS_KERNELS_KERNELS_H_
 #define TMS_KERNELS_KERNELS_H_
 
-#include <cmath>
 #include <cstdint>
 #include <cstddef>
-#include <type_traits>
 
 #include "common/check.h"
 #include "kernels/dense.h"
@@ -67,7 +61,6 @@ namespace internal {
 // the registry entry.
 void CountGemv(size_t cells);
 void CountGemm(size_t cells);
-void CountArgmax(size_t cells);
 }  // namespace internal
 
 // ---------------------------------------------------------------------------
@@ -75,20 +68,6 @@ void CountArgmax(size_t cells);
 // ---------------------------------------------------------------------------
 
 namespace ref {
-
-template <typename SR>
-void Gemv(const Matrix<typename SR::Value>& A,
-          const Vector<typename SR::Value>& x,
-          Vector<typename SR::Value>* y) {
-  TMS_DCHECK(A.cols() == x.size() && A.rows() == y->size());
-  for (size_t i = 0; i < A.rows(); ++i) {
-    typename SR::Value acc = SR::Zero();
-    for (size_t j = 0; j < A.cols(); ++j) {
-      acc = SR::Plus(acc, SR::Times(A(i, j), x[j]));
-    }
-    (*y)[i] = acc;
-  }
-}
 
 template <typename SR>
 void GemvT(const Matrix<typename SR::Value>& A,
@@ -132,70 +111,11 @@ void RowReduce(const Matrix<typename SR::Value>& A,
   }
 }
 
-/// Fused max-plus gemv with backpointers: y[i] = max_j A(i,j) + x[j],
-/// arg[i] = smallest j attaining the max (0 when the row is all -inf).
-void MaxPlusGemvArgmax(const Matrix<double>& A, const Vector<double>& x,
-                       Vector<double>* y, Vector<int32_t>* arg);
-
-/// Fused max-plus TN-gemm with backpointers:
-/// C(i,j) = max_k A(k,i) + B(k,j), Arg(i,j) = smallest maximizing k.
-void MaxPlusGemmTNArgmax(const Matrix<double>& A, const Matrix<double>& B,
-                         Matrix<double>* C, Matrix<int32_t>* Arg);
-
 }  // namespace ref
 
 // ---------------------------------------------------------------------------
 // Blocked production kernels.
 // ---------------------------------------------------------------------------
-
-/// y[i] = ⊕_j A(i,j) ⊗ x[j]. Four independent accumulators over j hide
-/// the ⊕ latency chain and give the vectorizer a clean reduction.
-/// LogSumExp uses a two-pass max/exp-sum evaluation instead (stable and
-/// vectorizable where a log1p chain is neither).
-template <typename SR>
-void Gemv(const Matrix<typename SR::Value>& A,
-          const Vector<typename SR::Value>& x,
-          Vector<typename SR::Value>* y) {
-  using V = typename SR::Value;
-  TMS_DCHECK(A.cols() == x.size() && A.rows() == y->size());
-  const size_t m = A.rows(), n = A.cols();
-  const V* TMS_RESTRICT xp = x.data();
-  V* TMS_RESTRICT yp = y->data();
-  if constexpr (std::is_same_v<SR, LogSumExp>) {
-    for (size_t i = 0; i < m; ++i) {
-      const V* TMS_RESTRICT a = A.row(i);
-      V mx = SR::Zero();
-      for (size_t j = 0; j < n; ++j) {
-        V t = a[j] + xp[j];
-        mx = mx > t ? mx : t;
-      }
-      if (std::isinf(mx) && mx < 0) {
-        yp[i] = mx;  // empty or all-Zero row: ⊕-identity
-        continue;
-      }
-      double s = 0.0;
-      for (size_t j = 0; j < n; ++j) s += std::exp(a[j] + xp[j] - mx);
-      yp[i] = mx + std::log(s);
-    }
-    internal::CountGemv(m * n);
-    return;
-  }
-  for (size_t i = 0; i < m; ++i) {
-    const V* TMS_RESTRICT a = A.row(i);
-    V acc0 = SR::Zero(), acc1 = SR::Zero(), acc2 = SR::Zero(),
-      acc3 = SR::Zero();
-    size_t j = 0;
-    for (; j + 4 <= n; j += 4) {
-      acc0 = SR::Plus(acc0, SR::Times(a[j + 0], xp[j + 0]));
-      acc1 = SR::Plus(acc1, SR::Times(a[j + 1], xp[j + 1]));
-      acc2 = SR::Plus(acc2, SR::Times(a[j + 2], xp[j + 2]));
-      acc3 = SR::Plus(acc3, SR::Times(a[j + 3], xp[j + 3]));
-    }
-    for (; j < n; ++j) acc0 = SR::Plus(acc0, SR::Times(a[j], xp[j]));
-    yp[i] = SR::Plus(SR::Plus(acc0, acc2), SR::Plus(acc1, acc3));
-  }
-  internal::CountGemv(m * n);
-}
 
 /// y[j] = ⊕_i A(i,j) ⊗ x[i]. i-outer with a unit-stride j inner loop:
 /// the per-j contributions arrive in ascending i, the same order as the
@@ -223,7 +143,7 @@ void GemvT(const Matrix<typename SR::Value>& A,
 /// each (k,i) pair broadcasts one A value across a contiguous B row into
 /// a contiguous C row — the loop the vectorizer likes best. Per-cell
 /// contributions arrive in ascending k (same order as ref::), so even
-/// LogSumExp matches the reference bit-for-bit here.
+/// Real matches the reference bit-for-bit here.
 template <typename SR>
 void GemmTN(const Matrix<typename SR::Value>& A,
             const Matrix<typename SR::Value>& B,
@@ -247,7 +167,8 @@ void GemmTN(const Matrix<typename SR::Value>& A,
   internal::CountGemm(K * m * n);
 }
 
-/// y[i] = ⊕_j A(i,j), 4-wide accumulators (LogSumExp two-pass as in Gemv).
+/// y[i] = ⊕_j A(i,j). Four independent accumulators over j hide the ⊕
+/// latency chain and give the vectorizer a clean reduction.
 template <typename SR>
 void RowReduce(const Matrix<typename SR::Value>& A,
                Vector<typename SR::Value>* y) {
@@ -255,21 +176,6 @@ void RowReduce(const Matrix<typename SR::Value>& A,
   TMS_DCHECK(A.rows() == y->size());
   const size_t m = A.rows(), n = A.cols();
   V* TMS_RESTRICT yp = y->data();
-  if constexpr (std::is_same_v<SR, LogSumExp>) {
-    for (size_t i = 0; i < m; ++i) {
-      const V* TMS_RESTRICT a = A.row(i);
-      V mx = SR::Zero();
-      for (size_t j = 0; j < n; ++j) mx = mx > a[j] ? mx : a[j];
-      if (std::isinf(mx) && mx < 0) {
-        yp[i] = mx;
-        continue;
-      }
-      double s = 0.0;
-      for (size_t j = 0; j < n; ++j) s += std::exp(a[j] - mx);
-      yp[i] = mx + std::log(s);
-    }
-    return;
-  }
   for (size_t i = 0; i < m; ++i) {
     const V* TMS_RESTRICT a = A.row(i);
     V acc0 = SR::Zero(), acc1 = SR::Zero(), acc2 = SR::Zero(),
@@ -286,34 +192,40 @@ void RowReduce(const Matrix<typename SR::Value>& A,
   }
 }
 
-/// Sparse max-plus edge scatter, the companion of GemmTN in the layered
-/// Viterbi DPs: overwrites dst with Zero, then for every source cell
-/// (r, c) of src maxes its value into the cells (r, tgt[e]) of dst, where
-/// e ranges over the CSR segment [off[r*cols + c], off[r*cols + c + 1]).
-/// off has src.rows()*src.cols() + 1 entries; dst must have src.rows()
-/// rows. Exact (pure max), no tie state.
-void MaxPlusEdgeScatter(const Matrix<double>& src, const int32_t* off,
-                        const int32_t* tgt, Matrix<double>* dst);
-
-/// Fused max-plus gemv with backpointers; smallest-j tie-break, exact.
-void MaxPlusGemvArgmax(const Matrix<double>& A, const Vector<double>& x,
-                       Vector<double>* y, Vector<int32_t>* arg);
-
-/// Fused max-plus TN-gemm with backpointers; smallest-k tie-break, exact.
-/// This is the Viterbi layer-transition kernel: A is the per-step score
-/// tensor slice (K source states × m successor states), B the incoming
-/// layer (K × n DP cells), C/Arg the outgoing layer and its backpointers.
-void MaxPlusGemmTNArgmax(const Matrix<double>& A, const Matrix<double>& B,
-                         Matrix<double>* C, Matrix<int32_t>* Arg);
+/// Edge scatter, the companion of GemmTN / SpGemm in the column-graph DPs
+/// (query/column_graph.h): overwrites dst with Zero, then for every source
+/// cell (r, c) of src, in ascending (r, c, e), ⊕-accumulates its value
+/// into the cell (r, tgt[e]) of dst, e ranging over the CSR segment
+/// [off[r*cols + c], off[r*cols + c + 1]). off has src.rows()*src.cols()
+/// + 1 entries; dst must have src.rows() rows. Each target cell sees its
+/// sources in ascending (c, e), so Real sums keep that order, and MaxPlus
+/// and BoolOr are exact.
+template <typename SR>
+void EdgeScatter(const Matrix<typename SR::Value>& src, const int32_t* off,
+                 const int32_t* tgt, Matrix<typename SR::Value>* dst) {
+  using V = typename SR::Value;
+  TMS_DCHECK(src.rows() == dst->rows());
+  const size_t rows = src.rows(), cols = src.cols();
+  dst->Fill(SR::Zero());
+  for (size_t r = 0; r < rows; ++r) {
+    const V* TMS_RESTRICT srow = src.row(r);
+    V* TMS_RESTRICT drow = dst->row(r);
+    const int32_t* TMS_RESTRICT o = off + r * cols;
+    for (size_t c = 0; c < cols; ++c) {
+      const V v = srow[c];
+      for (int32_t e = o[c]; e < o[c + 1]; ++e) {
+        const int32_t t = tgt[e];
+        drow[t] = SR::Plus(v, drow[t]);
+      }
+    }
+  }
+}
 
 // The hot-path instantiations are compiled once in kernels.cc, which is
 // built with stronger vectorization flags than the rest of the library
 // (see src/CMakeLists.txt); callers link against those definitions
 // instead of instantiating at -O2 in their own TU.
 #define TMS_KERNELS_EXTERN_SR(SR)                                        \
-  extern template void Gemv<SR>(const Matrix<SR::Value>&,                \
-                                const Vector<SR::Value>&,                \
-                                Vector<SR::Value>*);                     \
   extern template void GemvT<SR>(const Matrix<SR::Value>&,               \
                                  const Vector<SR::Value>&,               \
                                  Vector<SR::Value>*);                    \
@@ -321,9 +233,11 @@ void MaxPlusGemmTNArgmax(const Matrix<double>& A, const Matrix<double>& B,
                                   const Matrix<SR::Value>&,              \
                                   Matrix<SR::Value>*);                   \
   extern template void RowReduce<SR>(const Matrix<SR::Value>&,           \
-                                     Vector<SR::Value>*)
+                                     Vector<SR::Value>*);                \
+  extern template void EdgeScatter<SR>(const Matrix<SR::Value>&,         \
+                                       const int32_t*, const int32_t*,   \
+                                       Matrix<SR::Value>*)
 TMS_KERNELS_EXTERN_SR(MaxPlus);
-TMS_KERNELS_EXTERN_SR(LogSumExp);
 TMS_KERNELS_EXTERN_SR(Real);
 TMS_KERNELS_EXTERN_SR(BoolOr);
 #undef TMS_KERNELS_EXTERN_SR

@@ -7,12 +7,9 @@
 //                commutative and *reordering-free* in IEEE double (no
 //                rounding), so blocked/vectorized evaluation is
 //                bit-identical to the scalar reference.
-//   LogSumExp  — probability accumulation in log domain (⊕ = log-add,
-//                ⊗ = +). log-add rounds, so reassociation changes the
-//                last ulps; kernels document a tolerance instead of
-//                bit-equality (see kernels.h).
 //   Real       — plain (+, ×) on linear-domain doubles. Reassociation
-//                again changes ulps; same tolerance contract.
+//                changes the last ulps; kernels document a tolerance
+//                instead of bit-equality (see kernels.h).
 //   BoolOr     — reachability (⊕ = |, ⊗ = &) on uint8. Exact.
 //
 // Zero() must be the ⊕-identity and ⊗-annihilator; One() the ⊗-identity.
@@ -21,7 +18,6 @@
 #ifndef TMS_KERNELS_SEMIRING_H_
 #define TMS_KERNELS_SEMIRING_H_
 
-#include <cmath>
 #include <cstdint>
 #include <limits>
 
@@ -37,27 +33,6 @@ struct MaxPlus {
   }
   static constexpr Value One() { return 0.0; }
   static Value Plus(Value a, Value b) { return a > b ? a : b; }
-  static Value Times(Value a, Value b) { return a + b; }
-};
-
-struct LogSumExp {
-  using Value = double;
-  static constexpr const char* kName = "logsumexp";
-  static constexpr bool kExactReorder = false;
-  static constexpr Value Zero() {
-    return -std::numeric_limits<double>::infinity();
-  }
-  static constexpr Value One() { return 0.0; }
-  // log(e^a + e^b), stable for any mix of finite and -inf operands.
-  // Mirrors numeric::LogProb::operator+ so kernel results line up with
-  // the scalar code they replace.
-  static Value Plus(Value a, Value b) {
-    if (std::isinf(a) && a < 0) return b;
-    if (std::isinf(b) && b < 0) return a;
-    Value hi = a > b ? a : b;
-    Value lo = a > b ? b : a;
-    return hi + std::log1p(std::exp(lo - hi));
-  }
   static Value Times(Value a, Value b) { return a + b; }
 };
 

@@ -128,25 +128,6 @@ void CountSpMaskOr(size_t nnz) {
 
 namespace ref {
 
-void SpMaxPlusGemvArgmax(const CsrView<double>& A, const Vector<double>& x,
-                         Vector<double>* y, Vector<int32_t>* arg) {
-  TMS_DCHECK(A.cols == x.size() && A.rows == y->size() &&
-             A.rows == arg->size());
-  for (size_t i = 0; i < A.rows; ++i) {
-    double best = MaxPlus::Zero();
-    int32_t best_j = 0;
-    for (int32_t e = A.row_off[i]; e < A.row_off[i + 1]; ++e) {
-      double v = A.val[e] + x[A.col_idx[e]];
-      if (v > best) {
-        best = v;
-        best_j = A.col_idx[e];
-      }
-    }
-    (*y)[i] = best;
-    (*arg)[i] = best_j;
-  }
-}
-
 void SpMaskOr(const CsrView<double>& A, const Matrix<uint8_t>& B,
               Matrix<uint8_t>* C) {
   TMS_DCHECK(A.cols == B.rows() && A.rows == C->rows() &&
@@ -163,34 +144,6 @@ void SpMaskOr(const CsrView<double>& A, const Matrix<uint8_t>& B,
 }
 
 }  // namespace ref
-
-void SpMaxPlusGemvArgmax(const CsrView<double>& A, const Vector<double>& x,
-                         Vector<double>* y, Vector<int32_t>* arg) {
-  TMS_DCHECK(A.cols == x.size() && A.rows == y->size() &&
-             A.rows == arg->size());
-  const int32_t* TMS_RESTRICT off = A.row_off;
-  const int32_t* TMS_RESTRICT col = A.col_idx;
-  const double* TMS_RESTRICT av = A.val;
-  const double* TMS_RESTRICT xp = x.data();
-  double* TMS_RESTRICT yp = y->data();
-  int32_t* TMS_RESTRICT ap = arg->data();
-  for (size_t i = 0; i < A.rows; ++i) {
-    double best = MaxPlus::Zero();
-    int32_t best_j = 0;
-    // Strict > over ascending stored columns: smallest maximizing index,
-    // the kernels.h argmax tie-break.
-    for (int32_t e = off[i]; e < off[i + 1]; ++e) {
-      double v = av[e] + xp[col[e]];
-      if (v > best) {
-        best = v;
-        best_j = col[e];
-      }
-    }
-    yp[i] = best;
-    ap[i] = best_j;
-  }
-  internal::CountSpGemv(A.nnz);
-}
 
 void SpMaskOr(const CsrView<double>& A, const Matrix<uint8_t>& B,
               Matrix<uint8_t>* C) {
@@ -213,17 +166,12 @@ void SpMaskOr(const CsrView<double>& A, const Matrix<uint8_t>& B,
 // Hot-path instantiations, compiled here under this file's vectorization
 // flags (see src/CMakeLists.txt) and declared extern in sparse.h.
 #define TMS_SPARSE_INSTANTIATE_SR(SR)                                     \
-  template void SpGemv<SR>(const CsrView<SR::Value>&,                     \
-                           const Vector<SR::Value>&, Vector<SR::Value>*); \
   template void SpGemvT<SR>(const CsrView<SR::Value>&,                    \
                             const Vector<SR::Value>&,                     \
                             Vector<SR::Value>*);                          \
   template void SpGemm<SR>(const CsrView<SR::Value>&,                     \
-                           const Matrix<SR::Value>&, Matrix<SR::Value>*); \
-  template void SpRowReduce<SR>(const CsrView<SR::Value>&,                \
-                                Vector<SR::Value>*)
+                           const Matrix<SR::Value>&, Matrix<SR::Value>*)
 TMS_SPARSE_INSTANTIATE_SR(MaxPlus);
-TMS_SPARSE_INSTANTIATE_SR(LogSumExp);
 TMS_SPARSE_INSTANTIATE_SR(Real);
 TMS_SPARSE_INSTANTIATE_SR(BoolOr);
 #undef TMS_SPARSE_INSTANTIATE_SR

@@ -27,13 +27,12 @@
 // *dense* kernels, a sparse reduction differs only by skipping entries
 // absent from the CSR; when those entries are ⊕-identities (the only
 // thing the engines ever omit: true zeros of Real/BoolOr, -inf of
-// MaxPlus/LogSumExp) skipping is exact, so the DP hot paths produce
+// MaxPlus) skipping is exact, so the DP hot paths produce
 // byte-identical layers — and hence byte-identical ranked answer
 // streams — on either backend. NaN inputs are rejected by contract as in
 // the dense layer (HasNaN is the hook); -inf is a first-class value.
 //
 // Index conventions mirror kernels.h:
-//   SpGemv:      y[i]   = ⊕_j A(i,j) ⊗ x[j]       over stored (i,j)
 //   SpGemvT:     y[j]   = ⊕_i A(i,j) ⊗ x[i]       i-outer ascending, so
 //                per-j contributions arrive in ascending i — the dense
 //                GemvT / ref order; rounding semirings match bit-for-bit
@@ -43,12 +42,7 @@
 //                ascending k; feeding the CSR *transpose* of a step
 //                matrix makes this exactly the dense GemmTN layer step
 //                (ascending k per cell).
-//   SpRowReduce: y[i]   = ⊕_j A(i,j)              over stored entries
-//
-// The fused max-plus argmax variant reports the smallest maximizing
-// stored column (strict >, ascending scan — the kernels.h tie-break);
-// rows with no stored entry, or all entries -inf, yield Zero with arg 0,
-// matching what the dense argmax reports for an all--inf row.
+//   SpMaskOr:    C(i,·) = OR over stored (i,k) of B(k,·)  (pattern only)
 
 #ifndef TMS_KERNELS_SPARSE_H_
 #define TMS_KERNELS_SPARSE_H_
@@ -122,20 +116,6 @@ void CountSpMaskOr(size_t nnz);
 namespace ref {
 
 template <typename SR>
-void SpGemv(const CsrView<typename SR::Value>& A,
-            const Vector<typename SR::Value>& x,
-            Vector<typename SR::Value>* y) {
-  TMS_DCHECK(A.cols == x.size() && A.rows == y->size());
-  for (size_t i = 0; i < A.rows; ++i) {
-    typename SR::Value acc = SR::Zero();
-    for (int32_t e = A.row_off[i]; e < A.row_off[i + 1]; ++e) {
-      acc = SR::Plus(acc, SR::Times(A.val[e], x[A.col_idx[e]]));
-    }
-    (*y)[i] = acc;
-  }
-}
-
-template <typename SR>
 void SpGemvT(const CsrView<typename SR::Value>& A,
              const Vector<typename SR::Value>& x,
              Vector<typename SR::Value>* y) {
@@ -166,25 +146,6 @@ void SpGemm(const CsrView<typename SR::Value>& A,
   }
 }
 
-template <typename SR>
-void SpRowReduce(const CsrView<typename SR::Value>& A,
-                 Vector<typename SR::Value>* y) {
-  TMS_DCHECK(A.rows == y->size());
-  for (size_t i = 0; i < A.rows; ++i) {
-    typename SR::Value acc = SR::Zero();
-    for (int32_t e = A.row_off[i]; e < A.row_off[i + 1]; ++e) {
-      acc = SR::Plus(acc, A.val[e]);
-    }
-    (*y)[i] = acc;
-  }
-}
-
-/// Fused max-plus gemv with backpointers over stored entries:
-/// y[i] = max over row i of val + x[col], arg[i] = smallest maximizing
-/// stored column (0 when the row is empty or all -inf).
-void SpMaxPlusGemvArgmax(const CsrView<double>& A, const Vector<double>& x,
-                         Vector<double>* y, Vector<int32_t>* arg);
-
 /// Pattern-only boolean row gather: C(i,·) = OR over stored (i,k) of
 /// B(k,·). Values are ignored; presence in the pattern is truth.
 void SpMaskOr(const CsrView<double>& A, const Matrix<uint8_t>& B,
@@ -197,28 +158,6 @@ void SpMaskOr(const CsrView<double>& A, const Matrix<uint8_t>& B,
 // every semiring — see the header contract), restrict-qualified with
 // unit-stride inner loops where a dense dimension exists.
 // ---------------------------------------------------------------------------
-
-/// y[i] = ⊕ over row i of A(i,j) ⊗ x[j].
-template <typename SR>
-void SpGemv(const CsrView<typename SR::Value>& A,
-            const Vector<typename SR::Value>& x,
-            Vector<typename SR::Value>* y) {
-  using V = typename SR::Value;
-  TMS_DCHECK(A.cols == x.size() && A.rows == y->size());
-  const int32_t* TMS_RESTRICT off = A.row_off;
-  const int32_t* TMS_RESTRICT col = A.col_idx;
-  const V* TMS_RESTRICT av = A.val;
-  const V* TMS_RESTRICT xp = x.data();
-  V* TMS_RESTRICT yp = y->data();
-  for (size_t i = 0; i < A.rows; ++i) {
-    V acc = SR::Zero();
-    for (int32_t e = off[i]; e < off[i + 1]; ++e) {
-      acc = SR::Plus(acc, SR::Times(av[e], xp[col[e]]));
-    }
-    yp[i] = acc;
-  }
-  internal::CountSpGemv(A.nnz);
-}
 
 /// y[j] = ⊕_i A(i,j) ⊗ x[i]; i-outer ascending (the dense GemvT order).
 template <typename SR>
@@ -311,29 +250,6 @@ void SpGemm(const CsrView<typename SR::Value>& A,
   internal::CountSpGemm(A.nnz * n);
 }
 
-/// y[i] = ⊕ over row i of A(i,j).
-template <typename SR>
-void SpRowReduce(const CsrView<typename SR::Value>& A,
-                 Vector<typename SR::Value>* y) {
-  using V = typename SR::Value;
-  TMS_DCHECK(A.rows == y->size());
-  const int32_t* TMS_RESTRICT off = A.row_off;
-  const V* TMS_RESTRICT av = A.val;
-  V* TMS_RESTRICT yp = y->data();
-  for (size_t i = 0; i < A.rows; ++i) {
-    V acc = SR::Zero();
-    for (int32_t e = off[i]; e < off[i + 1]; ++e) acc = SR::Plus(acc, av[e]);
-    yp[i] = acc;
-  }
-  internal::CountSpGemv(A.nnz);
-}
-
-/// Fused max-plus gemv with backpointers; smallest stored-column
-/// tie-break, exact. Empty / all--inf rows give (Zero, 0) like the dense
-/// argmax on an all--inf row.
-void SpMaxPlusGemvArgmax(const CsrView<double>& A, const Vector<double>& x,
-                         Vector<double>* y, Vector<int32_t>* arg);
-
 /// Pattern-only boolean row gather (the membership reachability step):
 /// C(i,·) = OR over stored (i,k) of B(k,·).
 void SpMaskOr(const CsrView<double>& A, const Matrix<uint8_t>& B,
@@ -342,19 +258,13 @@ void SpMaskOr(const CsrView<double>& A, const Matrix<uint8_t>& B,
 // Hot-path instantiations are compiled once in sparse.cc (built at the
 // kernels.cc vectorization level, see src/CMakeLists.txt).
 #define TMS_SPARSE_EXTERN_SR(SR)                                          \
-  extern template void SpGemv<SR>(const CsrView<SR::Value>&,              \
-                                  const Vector<SR::Value>&,               \
-                                  Vector<SR::Value>*);                    \
   extern template void SpGemvT<SR>(const CsrView<SR::Value>&,             \
                                    const Vector<SR::Value>&,              \
                                    Vector<SR::Value>*);                   \
   extern template void SpGemm<SR>(const CsrView<SR::Value>&,              \
                                   const Matrix<SR::Value>&,               \
-                                  Matrix<SR::Value>*);                    \
-  extern template void SpRowReduce<SR>(const CsrView<SR::Value>&,         \
-                                       Vector<SR::Value>*)
+                                  Matrix<SR::Value>*)
 TMS_SPARSE_EXTERN_SR(MaxPlus);
-TMS_SPARSE_EXTERN_SR(LogSumExp);
 TMS_SPARSE_EXTERN_SR(Real);
 TMS_SPARSE_EXTERN_SR(BoolOr);
 #undef TMS_SPARSE_EXTERN_SR

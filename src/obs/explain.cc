@@ -45,8 +45,7 @@ DelayPick PickDelay(const RegistrySnapshot& s) {
 
 int64_t DenseKernelCalls(const RegistrySnapshot& s) {
   return CounterOr0(s, "kernels.gemv.calls") +
-         CounterOr0(s, "kernels.gemm.calls") +
-         CounterOr0(s, "kernels.argmax.calls");
+         CounterOr0(s, "kernels.gemm.calls");
 }
 
 int64_t SparseKernelCalls(const RegistrySnapshot& s) {

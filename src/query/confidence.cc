@@ -12,8 +12,10 @@
 #include "kernels/semiring.h"
 #include "kernels/sparse.h"
 #include "obs/obs.h"
+#include "query/column_graph.h"
 #include "query/confidence_exact.h"
 #include "query/subset_dp.h"
+#include "ranking/prefix_constraint.h"
 
 namespace tms::query {
 namespace {
@@ -33,131 +35,63 @@ Status RequireSameAlphabet(const markov::MarkovSequence& mu,
 
 // --- Theorem 4.6 ------------------------------------------------------
 
-// Dense double-precision path for the deterministic DP. Only the live
-// (q, j) pairs carry columns: those reachable from the first layer's
-// pairs along transducer edges whose output extends a prefix of o,
-// numbered in ascending (q, j) order. Every other column of the full
-// σ × (|Q|·(|o|+1)) layer holds exactly 0.0 at every step, so dropping
-// it removes only +0.0 terms, and every kept addition happens in the
-// same order as over the full grid. Each step is a Real-semiring gemm
-// against the step's transition matrix followed by a scatter along a
-// (input symbol, live pair) → target-column table built once per call.
-// The gemm collapses the predecessor-node sum first (the scalar loop
-// interleaves it with the scatter), so results can differ from the
-// scalar path by reassociation error — within the kernel layer's
-// documented Real tolerance. The sparse path skips only exact-zero
-// transition entries of that nonnegative sum in the same ascending
-// order, so it is bitwise identical to the dense path.
-double DetConfidenceDense(const markov::MarkovSequence& mu,
-                          const transducer::Transducer& t, const Str& o,
-                          kernels::BackendChoice backend) {
+// Double-precision path for the deterministic DP: RunColumnDp in the Real
+// semiring over the column graph of (t, exact o) (query/column_graph.h),
+// on two rolling layers. Only the live (q, j) pairs carry columns. Every
+// other column of the full σ × (|Q|·(|o|+1)) layer either holds exactly
+// 0.0 at every step or never feeds an accepting pair, so dropping it
+// removes only +0.0 terms and dead mass, and the monotone numbering keeps
+// every kept addition in the full grid's order. Each step is a
+// Real-semiring gemm against the step's transition matrix followed by
+// the edge scatter. The gemm collapses the predecessor-node sum first
+// (the scalar loop interleaves it with the scatter), so results can
+// differ from the scalar path by reassociation error — within the kernel
+// layer's documented Real tolerance. The sparse path skips only
+// exact-zero transition entries of that nonnegative sum in the same
+// ascending order, so it is bitwise identical to the dense path.
+double DetConfidenceOnColumns(const markov::MarkovSequence& mu,
+                              const transducer::Transducer& t, const Str& o,
+                              kernels::BackendChoice backend) {
   const int n = mu.length();
   const size_t sigma = mu.nodes().size();
   const kernels::Backend resolved = kernels::ChooseBackend(
       backend, mu.TransitionDensity(), sigma, mu.HasSparseTransitions());
-  const size_t nq = static_cast<size_t>(t.num_states());
-  const size_t jdim = o.size() + 1;
-
-  // Grid index g = q·jdim + j names the pair (q, j). successor(g, s2) is
-  // the grid index input s2 moves it to, or -1 when the edge's output
-  // does not extend o[0, j). Deterministic transducers carry exactly one
-  // edge per (state, input).
-  auto successor = [&](size_t g, size_t s2) -> int32_t {
-    const transducer::Edge& e =
-        t.Next(static_cast<automata::StateId>(g / jdim),
-               static_cast<Symbol>(s2))[0];
-    const int j2 = AdvanceExact(o, static_cast<int>(g % jdim), e.output);
-    if (j2 < 0) return -1;
-    return static_cast<int32_t>(static_cast<size_t>(e.target) * jdim +
-                                static_cast<size_t>(j2));
-  };
-
-  // The first layer's grid cells, then the live set: the closure of
-  // those pairs under `successor`. column[g] is the live column of grid
-  // index g (0 marks a reached pair until the numbering pass), or -1.
-  std::vector<int32_t> first_cell(sigma, -1);
-  std::vector<int32_t> column(nq * jdim, -1);
-  std::vector<int32_t> stack;
-  auto reach = [&](int32_t g) {
-    if (g >= 0 && column[static_cast<size_t>(g)] < 0) {
-      column[static_cast<size_t>(g)] = 0;
-      stack.push_back(g);
-    }
-  };
-  for (size_t s = 0; s < sigma; ++s) {
-    if (mu.Initial(static_cast<Symbol>(s)) == 0.0) continue;
-    first_cell[s] = successor(static_cast<size_t>(t.initial()) * jdim, s);
-    reach(first_cell[s]);
-  }
-  while (!stack.empty()) {
-    const size_t g = static_cast<size_t>(stack.back());
-    stack.pop_back();
-    for (size_t s2 = 0; s2 < sigma; ++s2) reach(successor(g, s2));
-  }
-  std::vector<size_t> grid_of;  // live column → grid index, ascending
-  for (size_t g = 0; g < nq * jdim; ++g) {
-    if (column[g] < 0) continue;
-    column[g] = static_cast<int32_t>(grid_of.size());
-    grid_of.push_back(g);
-  }
-  const size_t cols = grid_of.size();
-
-  // to[s2·cols + c]: the live column that column c moves to on input s2,
-  // or -1 when its mass leaves the answer's prefixes.
-  std::vector<int32_t> to(sigma * cols);
-  for (size_t s2 = 0; s2 < sigma; ++s2) {
-    for (size_t c = 0; c < cols; ++c) {
-      const int32_t g2 = successor(grid_of[c], s2);
-      to[s2 * cols + c] = g2 < 0 ? -1 : column[static_cast<size_t>(g2)];
-    }
-  }
-
-  thread_local kernels::Arena arena;
+  kernels::Arena& arena = ColumnDpArena();
   arena.Reset();
-  kernels::Matrix<double> cur(&arena, sigma, cols);
-  kernels::Matrix<double> next(&arena, sigma, cols);
-  kernels::Matrix<double> tmp(&arena, sigma, cols);
+  const ColumnGraph g = ColumnGraph::Build(
+      t, ranking::OutputConstraint::Exactly(o, t.output_alphabet()), arena);
+  if (g.cols == 0) return 0.0;
 
-  cur.Fill(0.0);
+  double* init = arena.Alloc<double>(sigma);
   for (size_t s = 0; s < sigma; ++s) {
-    if (first_cell[s] < 0) continue;
-    cur(s, static_cast<size_t>(column[static_cast<size_t>(first_cell[s])])) +=
-        mu.Initial(static_cast<Symbol>(s));
+    init[s] = mu.Initial(static_cast<Symbol>(s));
   }
+  double* rolling[2] = {arena.Alloc<double>(sigma * g.cols),
+                        arena.Alloc<double>(sigma * g.cols)};
+  RunColumnDp<kernels::Real>(
+      g, sigma, n, init, arena,
+      [&](int i, const kernels::Matrix<double>& cur,
+          kernels::Matrix<double>* tmp) {
+        // tmp(s2, c) = Σ_s μ_i(s, s2)·cur(s, c): the mass arriving at node
+        // s2 from every live (s, q, j) cell. The step matrix is read in
+        // place from the Markov sequence (no per-step σ² copy).
+        kernels::MatrixRef view = mu.TransitionView(i - 1);
+        if (resolved == kernels::Backend::kSparse && view.has_sparse) {
+          kernels::SpGemm<kernels::Real>(view.csr_t, cur, tmp);
+        } else {
+          kernels::GemmTN<kernels::Real>(view.dense, cur, tmp);
+        }
+      },
+      [&](int i) { return rolling[i & 1]; });
 
-  for (int i = 2; i <= n; ++i) {
-    // tmp(s2, c) = Σ_s μ_i(s, s2)·cur(s, c): the mass arriving at node s2
-    // from every live (s, q, j) cell. The step matrix is read in place
-    // from the Markov sequence (no per-step σ² copy).
-    kernels::MatrixRef view = mu.TransitionView(i - 1);
-    if (resolved == kernels::Backend::kSparse && view.has_sparse) {
-      kernels::SpGemm<kernels::Real>(view.csr_t, cur, &tmp);
-    } else {
-      kernels::GemmTN<kernels::Real>(view.dense, cur, &tmp);
-    }
-    next.Fill(0.0);
-    for (size_t s2 = 0; s2 < sigma; ++s2) {
-      const double* trow = tmp.row(s2);
-      const int32_t* trow_to = to.data() + s2 * cols;
-      double* nrow = next.row(s2);
-      for (size_t c = 0; c < cols; ++c) {
-        if (trow_to[c] >= 0) nrow[static_cast<size_t>(trow_to[c])] += trow[c];
-      }
-    }
-    std::swap(cur, next);
-  }
-
-  // Accepting pairs that matched all of o, in ascending grid order.
-  std::vector<size_t> accept_cols;
-  for (size_t c = 0; c < cols; ++c) {
-    if (grid_of[c] % jdim == o.size() &&
-        t.IsAccepting(static_cast<automata::StateId>(grid_of[c] / jdim))) {
-      accept_cols.push_back(c);
-    }
-  }
+  // The accepting columns (every symbol after o is dead, so they matched
+  // all of o), in ascending (s, column) order.
+  const double* last = rolling[n & 1];
   double total = 0.0;
   for (size_t s = 0; s < sigma; ++s) {
-    for (size_t c : accept_cols) total += cur(s, c);
+    for (size_t c = 0; c < g.cols; ++c) {
+      if (g.accepting[c]) total += last[s * g.cols + c];
+    }
   }
   return total;
 }
@@ -191,7 +125,7 @@ StatusOr<typename P::Value> DetConfidenceImpl(
   if constexpr (std::is_same_v<P, DoubleProb>) {
     // Doubles take the kernel path; Rational keeps the scalar loop
     // below (exact arithmetic has no dense representation here).
-    return DetConfidenceDense(mu, t, o, backend);
+    return DetConfidenceOnColumns(mu, t, o, backend);
   }
 
   std::vector<Value> cur(sigma * nq * jdim, P::Zero());

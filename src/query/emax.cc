@@ -14,6 +14,7 @@
 #include "kernels/kernels.h"
 #include "kernels/sparse.h"
 #include "numeric/log_prob.h"
+#include "query/column_graph.h"
 
 namespace tms::query {
 namespace {
@@ -21,13 +22,6 @@ namespace {
 using numeric::LogProb;
 
 constexpr int32_t kNoBack = -1;
-
-// Scratch for every solve on this thread, so concurrent subspace solves of
-// a parallel enumeration never share buffers and each reuses one block.
-kernels::Arena& ThreadArena() {
-  static thread_local kernels::Arena arena;
-  return arena;
-}
 
 }  // namespace
 
@@ -76,24 +70,10 @@ EmaxContext::EmaxContext(const markov::MarkovSequence& mu,
   }
 }
 
-// The column graph one Viterbi solve runs on: `cols` columns (the states
-// of a transducer, or the live pairs of a product) and, per (input symbol
-// s2, column c), the CSR segment [off[s2·cols + c], off[s2·cols + c + 1])
-// of the edges c --s2--> tgt[e], each emitting *out[e]. Within a segment
-// the targets ascend, as Transducer::Next keeps them.
-struct EmaxContext::Columns {
-  size_t cols = 0;
-  size_t initial = 0;
-  const uint8_t* accepting = nullptr;  // [c]
-  const int32_t* off = nullptr;        // σ·cols + 1 entries
-  const int32_t* tgt = nullptr;
-  const Str* const* out = nullptr;
-};
-
 std::optional<Evidence> EmaxContext::TopAnswer(
     const transducer::Transducer& t) const {
   TMS_CHECK(mu_->nodes() == t.input_alphabet());
-  kernels::Arena& arena = ThreadArena();
+  kernels::Arena& arena = ColumnDpArena();
   arena.Reset();
   const size_t sigma = sigma_;
   const size_t nq = static_cast<size_t>(t.num_states());
@@ -138,175 +118,20 @@ std::optional<Evidence> EmaxContext::TopAnswer(
     ProductStats* stats) const {
   TMS_CHECK(mu_->nodes() == t.input_alphabet());
   Stopwatch sw;
-  kernels::Arena& arena = ThreadArena();
+  kernels::Arena& arena = ColumnDpArena();
   arena.Reset();
-  const size_t sigma = sigma_;
-  const size_t nq = static_cast<size_t>(t.num_states());
-  // Pair (q, k) has id q·nk + k, k the state of c.ToDfa(): prefix
-  // progress 0..w, then free, then dead — ComposeWithOutputDfa's numbering.
-  const int w = static_cast<int>(c.prefix.size());
-  const int free_k = w + 1;
-  const int dead_k = w + 2;
-  const size_t nk = static_cast<size_t>(w) + 3;
-  const size_t pairs = nq * nk;
-  const size_t delta = t.output_alphabet().size();
-  uint8_t* excluded = arena.Alloc<uint8_t>(delta);
-  std::fill(excluded, excluded + delta, uint8_t{0});
-  for (Symbol x : c.excluded_next) excluded[static_cast<size_t>(x)] = 1;
-  // The constraint DFA run over one emission from progress k.
-  auto advance = [&](int k, const Str& o) {
-    for (Symbol d : o) {
-      if (k == free_k || k == dead_k) break;  // both absorb
-      if (k == w) {
-        k = excluded[static_cast<size_t>(d)] ? dead_k : free_k;
-      } else {
-        k = d == c.prefix[static_cast<size_t>(k)] ? k + 1 : dead_k;
-      }
-    }
-    return k;
-  };
-  auto accepts = [&](size_t p) {
-    const int k = static_cast<int>(p % nk);
-    return t.IsAccepting(static_cast<automata::StateId>(p / nk)) &&
-           (k == free_k || (k == w && c.allow_equal));
-  };
-
-  // Forward: the pairs reachable from (initial, 0), recording every edge
-  // crossed. Dead pairs absorb and never accept, so none is live and the
-  // search does not enter them. mark[p]: -1 unreached, 0 reached, 1 also
-  // co-accessible (below), then the live column.
-  size_t query_edges = 0;
-  for (size_t q = 0; q < nq; ++q) {
-    for (size_t s = 0; s < sigma; ++s) {
-      query_edges += t.Next(static_cast<automata::StateId>(q),
-                            static_cast<Symbol>(s))
-                         .size();
-    }
-  }
-  int32_t* mark = arena.Alloc<int32_t>(pairs);
-  std::fill(mark, mark + pairs, -1);
-  int32_t* queue = arena.Alloc<int32_t>(pairs);
-  int32_t* esrc = arena.Alloc<int32_t>(query_edges * nk);
-  int32_t* etgt = arena.Alloc<int32_t>(query_edges * nk);
-  size_t reached = 0;
-  size_t crossed = 0;
-  const size_t start = static_cast<size_t>(t.initial()) * nk;
-  mark[start] = 0;
-  queue[reached++] = static_cast<int32_t>(start);
-  for (size_t head = 0; head < reached; ++head) {
-    const size_t p = static_cast<size_t>(queue[head]);
-    const int k = static_cast<int>(p % nk);
-    for (size_t s = 0; s < sigma; ++s) {
-      for (const transducer::Edge& e :
-           t.Next(static_cast<automata::StateId>(p / nk),
-                  static_cast<Symbol>(s))) {
-        const int k2 = advance(k, e.output);
-        if (k2 == dead_k) continue;
-        const size_t p2 = static_cast<size_t>(e.target) * nk +
-                          static_cast<size_t>(k2);
-        esrc[crossed] = static_cast<int32_t>(p);
-        etgt[crossed++] = static_cast<int32_t>(p2);
-        if (mark[p2] < 0) {
-          mark[p2] = 0;
-          queue[reached++] = static_cast<int32_t>(p2);
-        }
-      }
-    }
-  }
-
-  // Backward: over the crossed edges reversed (CSR by target), from the
-  // reachable accepting pairs.
-  int32_t* roff = arena.Alloc<int32_t>(pairs + 1);
-  std::fill(roff, roff + pairs + 1, 0);
-  for (size_t e = 0; e < crossed; ++e) {
-    ++roff[static_cast<size_t>(etgt[e]) + 1];
-  }
-  for (size_t p = 0; p < pairs; ++p) roff[p + 1] += roff[p];
-  int32_t* fill = arena.Alloc<int32_t>(pairs);
-  std::copy(roff, roff + pairs, fill);
-  int32_t* rsrc = arena.Alloc<int32_t>(crossed);
-  for (size_t e = 0; e < crossed; ++e) {
-    rsrc[fill[static_cast<size_t>(etgt[e])]++] = esrc[e];
-  }
-  int32_t* stack = arena.Alloc<int32_t>(reached);
-  size_t top = 0;
-  for (size_t i = 0; i < reached; ++i) {
-    const size_t p = static_cast<size_t>(queue[i]);
-    if (accepts(p)) {
-      mark[p] = 1;
-      stack[top++] = static_cast<int32_t>(p);
-    }
-  }
-  while (top > 0) {
-    const size_t p = static_cast<size_t>(stack[--top]);
-    for (int32_t r = roff[p]; r < roff[p + 1]; ++r) {
-      const size_t src = static_cast<size_t>(rsrc[r]);
-      if (mark[src] == 0) {
-        mark[src] = 1;
-        stack[top++] = static_cast<int32_t>(src);
-      }
-    }
-  }
-
-  // Number the live pairs in ascending id: PruneTransducer's monotone
-  // renumbering of the product.
-  int32_t* pair_of = arena.Alloc<int32_t>(reached);
-  size_t live = 0;
-  for (size_t p = 0; p < pairs; ++p) {
-    if (mark[p] == 1) {
-      pair_of[live] = static_cast<int32_t>(p);
-      mark[p] = static_cast<int32_t>(live++);
-    } else {
-      mark[p] = -1;
-    }
-  }
+  const ColumnGraph g = ColumnGraph::Build(t, c, arena);
   if (stats != nullptr) {
-    stats->live_pairs = static_cast<int>(live);
-    stats->product_pairs = static_cast<int>(pairs);
+    stats->live_pairs = static_cast<int>(g.cols);
+    stats->product_pairs =
+        t.num_states() * (static_cast<int>(c.prefix.size()) + 3);
+    stats->build_ns = sw.ElapsedNanos();
   }
-  if (live == 0) {
-    if (stats != nullptr) stats->build_ns = sw.ElapsedNanos();
-    return std::nullopt;
-  }
-
-  // The (s2, live column) CSR over the query's edges, each run through
-  // the constraint, keeping the ones between live pairs in Next's order.
-  // Every such edge was crossed once above, so `crossed` bounds them.
-  const size_t cells = sigma * live;
-  int32_t* off = arena.Alloc<int32_t>(cells + 1);
-  int32_t* tgt = arena.Alloc<int32_t>(crossed);
-  const Str** out = arena.Alloc<const Str*>(crossed);
-  size_t pos = 0;
-  for (size_t s2 = 0; s2 < sigma; ++s2) {
-    for (size_t col = 0; col < live; ++col) {
-      off[s2 * live + col] = static_cast<int32_t>(pos);
-      const size_t p = static_cast<size_t>(pair_of[col]);
-      const int k = static_cast<int>(p % nk);
-      for (const transducer::Edge& e :
-           t.Next(static_cast<automata::StateId>(p / nk),
-                  static_cast<Symbol>(s2))) {
-        const int k2 = advance(k, e.output);
-        if (k2 == dead_k) continue;
-        const int32_t col2 = mark[static_cast<size_t>(e.target) * nk +
-                                 static_cast<size_t>(k2)];
-        if (col2 < 0) continue;
-        tgt[pos] = col2;
-        out[pos++] = &e.output;
-      }
-    }
-  }
-  off[cells] = static_cast<int32_t>(pos);
-  uint8_t* accepting = arena.Alloc<uint8_t>(live);
-  for (size_t col = 0; col < live; ++col) {
-    accepting[col] = accepts(static_cast<size_t>(pair_of[col])) ? 1 : 0;
-  }
-  if (stats != nullptr) stats->build_ns = sw.ElapsedNanos();
-  return Solve({live, static_cast<size_t>(mark[start]), accepting, off, tgt,
-                out},
-               arena);
+  if (g.cols == 0) return std::nullopt;
+  return Solve(g, arena);
 }
 
-std::optional<Evidence> EmaxContext::Solve(const Columns& g,
+std::optional<Evidence> EmaxContext::Solve(const ColumnGraph& g,
                                            kernels::Arena& arena) const {
   const int n = n_;
   const size_t sigma = sigma_;
@@ -316,11 +141,9 @@ std::optional<Evidence> EmaxContext::Solve(const Columns& g,
   auto idx = [&](size_t s, size_t q) { return s * nq + q; };
 
   // best[(s,q)] = max log-prob of a world prefix of length i ending in node
-  // s with some run reaching column q. The layer update factors into
-  //   (1) a dense branchless max-plus gemm over the step tensor:
-  //       tmp(s2, q) = max_s prev[(s,q)] + step[s][s2]  (kernels::GemmTN),
-  //   (2) a sparse scatter along the column edges q --s2--> q2, which
-  //       maxes that mass into the (s2, q2) cells of the next layer.
+  // s with some run reaching column q: RunColumnDp's max-plus layers, the
+  // step a dense GemmTN over the log step tensor (or SpGemm over its
+  // finite entries), the scatter along the column edges.
   // The forward pass stores *every* score layer (n * cells doubles) and
   // keeps no backpointers at all: the hot loop stays pure max-plus (no
   // data-dependent stores), and the single winning chain is recovered
@@ -331,46 +154,33 @@ std::optional<Evidence> EmaxContext::Solve(const Columns& g,
   // byte-identical to that DP, because witness worlds seed the Lawler
   // subspace splits.
   double* layers = arena.Alloc<double>(static_cast<size_t>(n) * cells);
-  kernels::Matrix<double> tmp(&arena, sigma, nq);
   auto layer = [&](int i) {  // valid for i = 1..n
     return layers + (static_cast<size_t>(i) - 1) * cells;
   };
   const int32_t* csr_off = g.off;
   const int32_t* csr_tgt = g.tgt;
-
-  double* first = layer(1);
-  for (size_t c = 0; c < cells; ++c) first[c] = ninf;
-  for (size_t s = 0; s < sigma; ++s) {
-    double p0 = init_[s];
-    if (p0 == ninf) continue;
-    const size_t from = s * nq + g.initial;
-    for (int32_t e = csr_off[from]; e < csr_off[from + 1]; ++e) {
-      size_t cell = idx(s, static_cast<size_t>(csr_tgt[e]));
-      if (p0 > first[cell]) first[cell] = p0;
-    }
-  }
-  for (int i = 2; i <= n; ++i) {
-    const LogStep& ls = *steps_[static_cast<size_t>(i) - 2];
-    kernels::Matrix<double> prev_m(layer(i - 1), sigma, nq);
-    // Stage (1): tmp(s2, q) = max_s step[s][s2] + prev[(s,q)]. On the
-    // sparse backend the max runs over only the finite step entries via
-    // the CSR transpose (rows = s2, ascending s) — the skipped terms are
-    // -inf, the max-plus identity, so tmp is bitwise the dense result.
-    if (ls.has_sparse) {
-      kernels::CsrView<double> at{ls.t_off.data(), ls.t_idx.data(),
-                                  ls.t_val.data(), sigma, sigma,
-                                  ls.t_val.size()};
-      kernels::SpGemm<kernels::MaxPlus>(at, prev_m, &tmp);
-    } else {
-      // ls.dense is logically const here; the view never writes it.
-      kernels::Matrix<double> step_m(const_cast<double*>(ls.dense.data()),
-                                     sigma, sigma);
-      kernels::GemmTN<kernels::MaxPlus>(step_m, prev_m, &tmp);
-    }
-    // Stage (2): scatter along the column edges into layer i.
-    kernels::Matrix<double> next_m(layer(i), sigma, nq);
-    kernels::MaxPlusEdgeScatter(tmp, csr_off, csr_tgt, &next_m);
-  }
+  RunColumnDp<kernels::MaxPlus>(
+      g, sigma, n, init_.data(), arena,
+      [&](int i, const kernels::Matrix<double>& prev,
+          kernels::Matrix<double>* tmp) {
+        const LogStep& ls = *steps_[static_cast<size_t>(i) - 2];
+        // tmp(s2, q) = max_s step[s][s2] + prev[(s,q)]. On the sparse
+        // backend the max runs over only the finite step entries via the
+        // CSR transpose (rows = s2, ascending s) — the skipped terms are
+        // -inf, the max-plus identity, so tmp is bitwise the dense result.
+        if (ls.has_sparse) {
+          kernels::CsrView<double> at{ls.t_off.data(), ls.t_idx.data(),
+                                      ls.t_val.data(), sigma, sigma,
+                                      ls.t_val.size()};
+          kernels::SpGemm<kernels::MaxPlus>(at, prev, tmp);
+        } else {
+          // ls.dense is logically const here; the view never writes it.
+          kernels::Matrix<double> step_m(const_cast<double*>(ls.dense.data()),
+                                         sigma, sigma);
+          kernels::GemmTN<kernels::MaxPlus>(step_m, prev, tmp);
+        }
+      },
+      layer);
   const double* prev = layer(n);
 
   // Pick the best accepting cell in the last layer (now in `prev`).
@@ -481,122 +291,8 @@ std::optional<Evidence> TopAnswerByEmax(const markov::MarkovSequence& mu,
 std::optional<Evidence> EmaxOfAnswer(const markov::MarkovSequence& mu,
                                      const transducer::Transducer& t,
                                      const Str& o) {
-  TMS_CHECK(mu.nodes() == t.input_alphabet());
-  const int n = mu.length();
-  const size_t sigma = mu.nodes().size();
-  const size_t nq = static_cast<size_t>(t.num_states());
-  const size_t jdim = o.size() + 1;
-  auto idx = [&](size_t s, size_t q, size_t j) {
-    return (s * nq + q) * jdim + j;
-  };
-  auto advance = [&o](int j, const Str& w) -> int {
-    for (Symbol c : w) {
-      if (j >= static_cast<int>(o.size()) || o[static_cast<size_t>(j)] != c) {
-        return -1;
-      }
-      ++j;
-    }
-    return j;
-  };
-
-  std::vector<std::vector<LogProb>> best(
-      static_cast<size_t>(n) + 1,
-      std::vector<LogProb>(sigma * nq * jdim, LogProb::Zero()));
-  std::vector<std::vector<int32_t>> back(
-      static_cast<size_t>(n) + 1,
-      std::vector<int32_t>(sigma * nq * jdim, kNoBack));
-
-  for (size_t s = 0; s < sigma; ++s) {
-    LogProb p0 = LogProb::FromLinear(mu.Initial(static_cast<Symbol>(s)));
-    if (p0.IsZero()) continue;
-    for (const transducer::Edge& e :
-         t.Next(t.initial(), static_cast<Symbol>(s))) {
-      int j = advance(0, e.output);
-      if (j < 0) continue;
-      size_t cell = idx(s, static_cast<size_t>(e.target),
-                        static_cast<size_t>(j));
-      if (p0 > best[1][cell]) best[1][cell] = p0;
-    }
-  }
-  // Positive successors (s2, log step) of the current (i, s), gathered
-  // once per source row through the TransitionView instead of a scalar
-  // Transition() probe per (s, q, j, s2). The CSR pattern is exactly the
-  // set the step.IsZero() test used to keep, in the same ascending order.
-  std::vector<std::pair<size_t, LogProb>> successors;
-  for (int i = 2; i <= n; ++i) {
-    kernels::MatrixRef view = mu.TransitionView(i - 1);
-    for (size_t s = 0; s < sigma; ++s) {
-      successors.clear();
-      if (view.has_sparse) {
-        for (int32_t e = view.csr.row_off[s]; e < view.csr.row_off[s + 1];
-             ++e) {
-          successors.emplace_back(
-              static_cast<size_t>(view.csr.col_idx[e]),
-              LogProb::FromLinear(view.csr.val[e]));
-        }
-      } else {
-        const double* row = view.dense.row(s);
-        for (size_t s2 = 0; s2 < sigma; ++s2) {
-          if (row[s2] > 0.0) {
-            successors.emplace_back(s2, LogProb::FromLinear(row[s2]));
-          }
-        }
-      }
-      for (size_t q = 0; q < nq; ++q) {
-        for (size_t j = 0; j < jdim; ++j) {
-          LogProb mass = best[static_cast<size_t>(i - 1)][idx(s, q, j)];
-          if (mass.IsZero()) continue;
-          for (const auto& [s2, step] : successors) {
-            LogProb cand = mass * step;
-            for (const transducer::Edge& e :
-                 t.Next(static_cast<automata::StateId>(q),
-                        static_cast<Symbol>(s2))) {
-              int j2 = advance(static_cast<int>(j), e.output);
-              if (j2 < 0) continue;
-              size_t cell = idx(s2, static_cast<size_t>(e.target),
-                                static_cast<size_t>(j2));
-              if (cand > best[static_cast<size_t>(i)][cell]) {
-                best[static_cast<size_t>(i)][cell] = cand;
-                back[static_cast<size_t>(i)][cell] =
-                    static_cast<int32_t>(idx(s, q, j));
-              }
-            }
-          }
-        }
-      }
-    }
-  }
-
-  LogProb best_val = LogProb::Zero();
-  int32_t best_cell = kNoBack;
-  for (size_t s = 0; s < sigma; ++s) {
-    for (size_t q = 0; q < nq; ++q) {
-      if (!t.IsAccepting(static_cast<automata::StateId>(q))) continue;
-      size_t cell = idx(s, q, o.size());
-      if (best[static_cast<size_t>(n)][cell] > best_val) {
-        best_val = best[static_cast<size_t>(n)][cell];
-        best_cell = static_cast<int32_t>(cell);
-      }
-    }
-  }
-  if (best_cell == kNoBack) return std::nullopt;
-
-  std::vector<size_t> cells(static_cast<size_t>(n) + 1);
-  cells[static_cast<size_t>(n)] = static_cast<size_t>(best_cell);
-  for (int i = n; i >= 2; --i) {
-    int32_t prev = back[static_cast<size_t>(i)][cells[static_cast<size_t>(i)]];
-    TMS_CHECK(prev != kNoBack);
-    cells[static_cast<size_t>(i - 1)] = static_cast<size_t>(prev);
-  }
-  Evidence out;
-  out.world.resize(static_cast<size_t>(n));
-  for (int i = 1; i <= n; ++i) {
-    out.world[static_cast<size_t>(i - 1)] =
-        static_cast<Symbol>(cells[static_cast<size_t>(i)] / (nq * jdim));
-  }
-  out.output = o;
-  out.prob = best_val.ToLinear();
-  return out;
+  return EmaxContext(mu).TopAnswer(
+      t, ranking::OutputConstraint::Exactly(o, t.output_alphabet()));
 }
 
 }  // namespace tms::query

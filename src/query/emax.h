@@ -28,6 +28,8 @@ class Arena;
 
 namespace tms::query {
 
+struct ColumnGraph;
+
 /// A witness world together with the answer it transduces into.
 struct Evidence {
   Str world;    ///< s ∈ Σ^n with p(s) = prob
@@ -81,14 +83,12 @@ class EmaxContext {
 
   /// The Theorem 4.3 subspace solve: TopAnswer over the product of
   /// `pruned_query` (an optimize::PruneTransducer result) with the
-  /// constraint DFA of `c`, without building that product. Its pairs
-  /// (q, k) — k the constraint DFA's state: prefix progress 0..|w|, then
-  /// free, then dead — are the columns of the DP when they are live:
-  /// reachable from (initial, 0) and able to reach an accepting pair.
-  /// Live pairs are numbered in ascending q·(|w|+3) + k, each step's edges
-  /// are the query's edges run through the constraint, and each emission
-  /// is read from the query's own edge; those are exactly the states, the
-  /// numbering, the edge order and the outputs of
+  /// constraint DFA of `c`, without building that product. Its DP runs on
+  /// ColumnGraph::Build(pruned_query, c) (query/column_graph.h): the live
+  /// pairs numbered in ascending q·(|w|+3) + k, each step's edges the
+  /// query's edges run through the constraint, each emission read from the
+  /// query's own edge. Those are exactly the states, the numbering, the
+  /// edge order and the outputs of
   /// PruneTransducer(ComposeWithOutputConstraint(pruned_query, c)), so the
   /// result is bit-identical to TopAnswer on that product. Returns nullopt
   /// before any DP when no pair is live. `stats`, if given, receives what
@@ -98,12 +98,11 @@ class EmaxContext {
                                     ProductStats* stats = nullptr) const;
 
  private:
-  /// The column graph of one solve (defined in emax.cc).
-  struct Columns;
-
-  /// The Viterbi DP shared by both TopAnswer overloads, over the columns
-  /// the caller built in `arena`; allocates its layers from the same arena.
-  std::optional<Evidence> Solve(const Columns& g, kernels::Arena& arena) const;
+  /// The Viterbi DP shared by both TopAnswer overloads, over the column
+  /// graph the caller built in `arena`; allocates its layers from the same
+  /// arena.
+  std::optional<Evidence> Solve(const ColumnGraph& g,
+                                kernels::Arena& arena) const;
 
   /// Log-domain image of one distinct transition matrix.
   struct LogStep {
@@ -136,7 +135,11 @@ std::optional<Evidence> TopAnswerByEmax(const markov::MarkovSequence& mu,
                                         const transducer::Transducer& t);
 
 /// E_max(o) with its witness world, or nullopt if o ∉ A^ω(μ)
-/// (Example 4.2 computes E_max(12) = 0.3969 this way).
+/// (Example 4.2 computes E_max(12) = 0.3969 this way): the Theorem 4.3
+/// solve under OutputConstraint::Exactly(o), whose live pairs carry only
+/// the progress 0..|o|. Its witness is the scalar (node, state, progress)
+/// DP's first strict maximum over ascending (s, q, j): the live numbering
+/// is monotone in (q, j), and the backtrack scans ascending (s, column).
 /// Time O(n · |Σ|² · |Q|² · (|o|+1)).
 std::optional<Evidence> EmaxOfAnswer(const markov::MarkovSequence& mu,
                                      const transducer::Transducer& t,

@@ -1,8 +1,6 @@
 #include "query/membership.h"
 
 #include <cstdint>
-#include <utility>
-#include <vector>
 
 #include "common/check.h"
 #include "kernels/arena.h"
@@ -10,131 +8,68 @@
 #include "kernels/kernels.h"
 #include "kernels/semiring.h"
 #include "kernels/sparse.h"
+#include "query/column_graph.h"
+#include "ranking/prefix_constraint.h"
 
 namespace tms::query {
 namespace {
 
-enum class MatchMode { kExact, kPrefix };
-
-// Advances the matched-output position j by emission `w`.
-// kExact: every emitted symbol must match target[j]; overshoot fails.
-// kPrefix: symbols must match while j < |target|; afterwards anything goes
-// (j saturates at |target|).
-// Returns the new j, or -1 on mismatch.
-int AdvanceMatch(const Str& target, int j, const Str& w, MatchMode mode) {
-  for (Symbol c : w) {
-    if (j < static_cast<int>(target.size())) {
-      if (target[static_cast<size_t>(j)] != c) return -1;
-      ++j;
-    } else if (mode == MatchMode::kExact) {
-      return -1;  // emitted past the end of o
-    }
-  }
-  return j;
-}
-
-// Reachability DP over layers i = 1..n of triples (node, state, j).
-//
-// Layers are σ × (nq·jdim) boolean matrices (row = node, column =
-// state·jdim + j). Each step is a BoolOr gemm against the step's
-// transition mask (which nodes can follow which) followed by a sparse
-// scatter through the transducer edges. AdvanceMatch depends only on an
-// edge's output and j — not on the layer — so its results are tabulated
-// once per call and the hot loop is pure index arithmetic. BoolOr is
-// reordering-free, so the oracle's verdicts are identical to the scalar
-// triple-loop this replaces.
-bool ReachDp(const markov::MarkovSequence& mu, const transducer::Transducer& t,
-             const Str& target, MatchMode mode,
-             kernels::BackendChoice backend) {
+// Reachability DP over layers i = 1..n of (node, live column) cells:
+// RunColumnDp in the BoolOr semiring over the column graph of (t, c)
+// (query/column_graph.h), on two rolling layers. Each step is a BoolOr
+// gemm against the step's transition mask (which nodes can follow which)
+// followed by the edge scatter. BoolOr is reordering-free, so the
+// verdicts are those of the scalar triple loop over the full grid; a
+// column that is not live never reaches an accepting pair.
+bool Reachable(const markov::MarkovSequence& mu,
+               const transducer::Transducer& t,
+               const ranking::OutputConstraint& c,
+               kernels::BackendChoice backend) {
   TMS_CHECK(mu.nodes() == t.input_alphabet());
   const int n = mu.length();
   const size_t sigma = mu.nodes().size();
   const kernels::Backend resolved = kernels::ChooseBackend(
       backend, mu.TransitionDensity(), sigma, mu.HasSparseTransitions());
-  const size_t nq = static_cast<size_t>(t.num_states());
-  const size_t jdim = target.size() + 1;
-  const size_t cols = nq * jdim;
-
-  // Flatten the transducer: edges grouped by (source state q, input s2),
-  // with the j-advance precomputed for every matched position.
-  std::vector<int32_t> ed_off(nq * sigma + 1, 0);
-  std::vector<int32_t> ed_tgt;
-  std::vector<int32_t> jmap;  // jmap[e*jdim + j] = new j, or -1
-  for (size_t q = 0; q < nq; ++q) {
-    for (size_t s2 = 0; s2 < sigma; ++s2) {
-      for (const transducer::Edge& e :
-           t.Next(static_cast<automata::StateId>(q),
-                  static_cast<Symbol>(s2))) {
-        ed_tgt.push_back(e.target);
-        for (size_t j = 0; j < jdim; ++j) {
-          jmap.push_back(
-              AdvanceMatch(target, static_cast<int>(j), e.output, mode));
-        }
-      }
-      ed_off[q * sigma + s2 + 1] = static_cast<int32_t>(ed_tgt.size());
-    }
-  }
-
-  thread_local kernels::Arena arena;
+  kernels::Arena& arena = ColumnDpArena();
   arena.Reset();
-  kernels::Matrix<uint8_t> cur(&arena, sigma, cols);
-  kernels::Matrix<uint8_t> next(&arena, sigma, cols);
-  kernels::Matrix<uint8_t> tmp(&arena, sigma, cols);
-  kernels::Matrix<uint8_t> tmask(&arena, sigma, sigma);
+  const ColumnGraph g = ColumnGraph::Build(t, c, arena);
+  if (g.cols == 0) return false;
 
-  cur.Fill(0);
+  uint8_t* init = arena.Alloc<uint8_t>(sigma);
   for (size_t s = 0; s < sigma; ++s) {
-    if (mu.Initial(static_cast<Symbol>(s)) <= 0) continue;
-    const size_t base = static_cast<size_t>(t.initial()) * sigma + s;
-    for (int32_t e = ed_off[base]; e < ed_off[base + 1]; ++e) {
-      int32_t j = jmap[static_cast<size_t>(e) * jdim];
-      if (j < 0) continue;
-      cur(s, static_cast<size_t>(ed_tgt[static_cast<size_t>(e)]) * jdim +
-             static_cast<size_t>(j)) = 1;
-    }
+    init[s] = mu.Initial(static_cast<Symbol>(s)) > 0 ? 1 : 0;
   }
-
-  for (int i = 2; i <= n; ++i) {
-    // tmp(s2, q·jdim + j) = OR_s [μ(s,s2) > 0] & cur(s, q·jdim + j):
-    // "some live (s, q, j) triple can step to node s2". The CSR pattern
-    // of the step *is* the > 0 mask, so the sparse path gathers only the
-    // supported predecessors — same verdicts, O(nnz) instead of O(σ²).
-    kernels::MatrixRef view = mu.TransitionView(i - 1);
-    if (resolved == kernels::Backend::kSparse && view.has_sparse) {
-      kernels::SpMaskOr(view.csr_t, cur, &tmp);
-    } else {
-      for (size_t s = 0; s < sigma; ++s) {
-        const double* mrow = view.dense.row(s);
-        uint8_t* trow = tmask.row(s);
-        for (size_t s2 = 0; s2 < sigma; ++s2) trow[s2] = mrow[s2] > 0 ? 1 : 0;
-      }
-      kernels::GemmTN<kernels::BoolOr>(tmask, cur, &tmp);
-    }
-    next.Fill(0);
-    for (size_t s2 = 0; s2 < sigma; ++s2) {
-      const uint8_t* trow = tmp.row(s2);
-      uint8_t* nrow = next.row(s2);
-      for (size_t q = 0; q < nq; ++q) {
-        const size_t base = q * sigma + s2;
-        for (size_t j = 0; j < jdim; ++j) {
-          if (!trow[q * jdim + j]) continue;
-          for (int32_t e = ed_off[base]; e < ed_off[base + 1]; ++e) {
-            int32_t j2 = jmap[static_cast<size_t>(e) * jdim + j];
-            if (j2 < 0) continue;
-            nrow[static_cast<size_t>(ed_tgt[static_cast<size_t>(e)]) * jdim +
-                 static_cast<size_t>(j2)] = 1;
+  uint8_t* rolling[2] = {arena.Alloc<uint8_t>(sigma * g.cols),
+                         arena.Alloc<uint8_t>(sigma * g.cols)};
+  kernels::Matrix<uint8_t> tmask(&arena, sigma, sigma);
+  RunColumnDp<kernels::BoolOr>(
+      g, sigma, n, init, arena,
+      [&](int i, const kernels::Matrix<uint8_t>& cur,
+          kernels::Matrix<uint8_t>* tmp) {
+        // tmp(s2, c) = OR_s [μ(s,s2) > 0] & cur(s, c): "some live (s, c)
+        // cell can step to node s2". The CSR pattern of the step *is* the
+        // > 0 mask, so the sparse path gathers only the supported
+        // predecessors — same verdicts, O(nnz) instead of O(σ²).
+        kernels::MatrixRef view = mu.TransitionView(i - 1);
+        if (resolved == kernels::Backend::kSparse && view.has_sparse) {
+          kernels::SpMaskOr(view.csr_t, cur, tmp);
+        } else {
+          for (size_t s = 0; s < sigma; ++s) {
+            const double* mrow = view.dense.row(s);
+            uint8_t* trow = tmask.row(s);
+            for (size_t s2 = 0; s2 < sigma; ++s2) {
+              trow[s2] = mrow[s2] > 0 ? 1 : 0;
+            }
           }
+          kernels::GemmTN<kernels::BoolOr>(tmask, cur, tmp);
         }
-      }
-    }
-    std::swap(cur, next);
-  }
+      },
+      [&](int i) { return rolling[i & 1]; });
 
-  const size_t jfinal = target.size();
-  for (size_t q = 0; q < nq; ++q) {
-    if (!t.IsAccepting(static_cast<automata::StateId>(q))) continue;
-    for (size_t s = 0; s < sigma; ++s) {
-      if (cur(s, q * jdim + jfinal)) return true;
+  const uint8_t* last = rolling[n & 1];
+  for (size_t s = 0; s < sigma; ++s) {
+    for (size_t col = 0; col < g.cols; ++col) {
+      if (g.accepting[col] && last[s * g.cols + col]) return true;
     }
   }
   return false;
@@ -145,19 +80,22 @@ bool ReachDp(const markov::MarkovSequence& mu, const transducer::Transducer& t,
 bool IsPossibleAnswer(const markov::MarkovSequence& mu,
                       const transducer::Transducer& t, const Str& o,
                       kernels::BackendChoice backend) {
-  return ReachDp(mu, t, o, MatchMode::kExact, backend);
+  return Reachable(
+      mu, t, ranking::OutputConstraint::Exactly(o, t.output_alphabet()),
+      backend);
 }
 
 bool HasAnyAnswer(const markov::MarkovSequence& mu,
                   const transducer::Transducer& t,
                   kernels::BackendChoice backend) {
-  return ReachDp(mu, t, {}, MatchMode::kPrefix, backend);
+  return Reachable(mu, t, ranking::OutputConstraint::All(), backend);
 }
 
 bool HasAnswerWithPrefix(const markov::MarkovSequence& mu,
                          const transducer::Transducer& t, const Str& prefix,
                          kernels::BackendChoice backend) {
-  return ReachDp(mu, t, prefix, MatchMode::kPrefix, backend);
+  return Reachable(mu, t, ranking::OutputConstraint{prefix, {}, true},
+                   backend);
 }
 
 }  // namespace tms::query

@@ -15,11 +15,14 @@
 
 namespace tms::query {
 
-// All three tests run the same boolean reachability DP; `backend` selects
-// its kernel path (kernels/backend.h). The DP is over the *support* of μ,
-// which the CSR pattern represents exactly, so the answer is identical on
-// either backend; sparse replaces the per-step O(|Σ|²) mask tabulation
-// with O(nnz) work.
+// All three tests run the same boolean reachability DP over the column
+// graph of t and an output constraint (query/column_graph.h): the exact
+// answer OutputConstraint::Exactly(o), or the prefix {w, ∅, allow_equal}.
+// When no (state, constraint-state) pair is live the test is false before
+// any layer. `backend` selects the kernel path (kernels/backend.h). The DP
+// is over the *support* of μ, which the CSR pattern represents exactly, so
+// the answer is identical on either backend; sparse replaces the per-step
+// O(|Σ|²) mask tabulation with O(nnz) work.
 
 /// True iff Pr(S →[A^ω]→ o) > 0, i.e. o ∈ A^ω(μ).
 /// Time O(n · |Σ|² · |Q|² · (|o|+1)) dense.

@@ -4,6 +4,15 @@
 
 namespace tms::ranking {
 
+OutputConstraint OutputConstraint::Exactly(const Str& o,
+                                           const Alphabet& output_alphabet) {
+  OutputConstraint c{o, {}, true};
+  for (size_t x = 0; x < output_alphabet.size(); ++x) {
+    c.excluded_next.insert(c.excluded_next.end(), static_cast<Symbol>(x));
+  }
+  return c;
+}
+
 bool OutputConstraint::Admits(const Str& o) const {
   if (!IsPrefixOf(prefix, o)) return false;
   if (o.size() == prefix.size()) return allow_equal;

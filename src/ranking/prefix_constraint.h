@@ -39,6 +39,11 @@ struct OutputConstraint {
   /// The unconstrained space (admits every string).
   static OutputConstraint All() { return OutputConstraint{}; }
 
+  /// Admits exactly `o`: every symbol of `output_alphabet` is excluded
+  /// after it.
+  static OutputConstraint Exactly(const Str& o,
+                                  const Alphabet& output_alphabet);
+
   /// True iff `o` satisfies this constraint.
   bool Admits(const Str& o) const;
 

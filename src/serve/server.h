@@ -111,6 +111,9 @@ class HttpServer {
   /// The bound port (after a successful Start).
   int port() const { return port_; }
 
+  /// Queries the admission gate currently admits (AdmissionGate::inflight).
+  int inflight() const { return gate_.inflight(); }
+
   /// The token Shutdown fires; external code may bind it into its own
   /// contexts or cancel it to drain the server remotely.
   exec::CancelToken cancel_token() const { return drain_; }

@@ -10,8 +10,11 @@
 // chains with exactly tied scores (probabilities 1/2 and 1/4), under
 // deterministic, nondeterministic, one-state and empty-language queries
 // with emissions of 0–2 symbols. Constraints: every constraint a Lawler
-// run over the reference solve reaches, plus hand-built ones (excluded
-// sets, allow_equal = false, prefixes no run can emit).
+// run over the reference solve reaches, hand-built ones (excluded sets,
+// allow_equal = false, prefixes no run can emit), and the shapes of the
+// other column-graph DPs (query/column_graph.h): each answer o of that
+// run exactly, {o, Δ, allow_equal}, and non-empty prefixes {w, ∅,
+// allow_equal}.
 // TMS_TEST_SEED-replayable.
 
 #include <gtest/gtest.h>
@@ -19,6 +22,7 @@
 #include <bit>
 #include <cstdint>
 #include <optional>
+#include <set>
 #include <string>
 #include <utility>
 #include <vector>
@@ -42,39 +46,6 @@ using kernels::BackendChoice;
 using ranking::OutputConstraint;
 using transducer::Transducer;
 
-// A chain whose every distribution puts 1/support on `support` distinct
-// random nodes (support 2 or 4): equal-length worlds then share exact
-// log-probabilities, so the DP's tie-breaks decide the witnesses.
-markov::MarkovSequence TiedChain(int sigma, int n, Rng& rng) {
-  auto row = [&] {
-    const int support = rng.Bernoulli(0.5) ? 2 : 4;
-    std::vector<double> out(static_cast<size_t>(sigma), 0.0);
-    for (int placed = 0; placed < support;) {
-      const size_t node = static_cast<size_t>(rng.UniformInt(0, sigma - 1));
-      if (out[node] == 0.0) {
-        out[node] = 1.0 / support;
-        ++placed;
-      }
-    }
-    return out;
-  };
-  std::vector<double> initial = row();
-  std::vector<std::vector<double>> steps;
-  for (int i = 1; i < n; ++i) {
-    std::vector<double> m;
-    for (int s = 0; s < sigma; ++s) {
-      std::vector<double> r = row();
-      m.insert(m.end(), r.begin(), r.end());
-    }
-    steps.push_back(std::move(m));
-  }
-  auto mu = markov::MarkovSequence::Create(workload::MakeSymbols(sigma, "n"),
-                                           std::move(initial),
-                                           std::move(steps));
-  TMS_CHECK(mu.ok());
-  return std::move(mu).value();
-}
-
 markov::MarkovSequence RandomMu(int family, Rng& rng) {
   switch (family) {
     case 0:
@@ -82,7 +53,7 @@ markov::MarkovSequence RandomMu(int family, Rng& rng) {
     case 1:  // the sparse regime: 3 of 24 successors per row
       return workload::RandomHomogeneousMarkovSequence(24, 6, 3, rng);
     default:
-      return TiedChain(8, 6, rng);
+      return testing::TiedChain(8, 6, rng);
   }
 }
 
@@ -145,10 +116,12 @@ void ExpectSameSolve(const query::EmaxContext& ctx, const Transducer& pruned,
 }
 
 // The constraints a Lawler run over the reference solve reaches: the root
-// and every child of the first `max_answers` pops.
+// and every child of the first `max_answers` pops. `answers` receives the
+// answers those pops emit.
 std::vector<OutputConstraint> LawlerConstraints(const query::EmaxContext& ctx,
                                                 const Transducer& pruned,
-                                                int max_answers) {
+                                                int max_answers,
+                                                std::vector<Str>* answers) {
   std::vector<OutputConstraint> seen;
   ranking::LawlerEnumerator lawler(
       [&](const OutputConstraint& c) -> std::optional<ranking::ScoredAnswer> {
@@ -158,9 +131,35 @@ std::vector<OutputConstraint> LawlerConstraints(const query::EmaxContext& ctx,
         if (!best.has_value()) return std::nullopt;
         return ranking::ScoredAnswer{std::move(best->output), best->prob};
       });
-  for (int i = 0; i < max_answers && lawler.Next().has_value(); ++i) {
+  for (int i = 0; i < max_answers; ++i) {
+    std::optional<ranking::ScoredAnswer> next = lawler.Next();
+    if (!next.has_value()) break;
+    answers->push_back(std::move(next->output));
   }
   return seen;
+}
+
+// The two shapes the other column-graph DPs solve: every answer o of the
+// reference run exactly (E_max(o), Theorem 4.6 and IsPossibleAnswer), and
+// non-empty prefixes under no exclusion (HasAnswerWithPrefix) — each
+// answer's first symbol, and the first symbol no answer starts with.
+std::vector<OutputConstraint> AnswerConstraints(
+    const std::vector<Str>& answers, const Alphabet& output_alphabet) {
+  std::vector<OutputConstraint> out;
+  std::set<Symbol> firsts;
+  for (const Str& o : answers) {
+    out.push_back(OutputConstraint::Exactly(o, output_alphabet));
+    if (!o.empty() && firsts.insert(o[0]).second) {
+      out.push_back(OutputConstraint{Str{o[0]}, {}, true});
+    }
+  }
+  for (size_t x = 0; x < output_alphabet.size(); ++x) {
+    if (firsts.count(static_cast<Symbol>(x)) == 0) {
+      out.push_back(OutputConstraint{Str{static_cast<Symbol>(x)}, {}, true});
+      break;
+    }
+  }
+  return out;
 }
 
 // Hand-built constraints: a random prefix (possibly empty) under a
@@ -200,9 +199,14 @@ TEST(LiveProductTest, MatchesPrunedProductOnLawlerAndHandBuiltConstraints) {
     const markov::MarkovSequence mu = RandomMu(family, rng);
     const Transducer pruned =
         optimize::PruneTransducer(RandomQuery(mu.nodes(), kind, rng));
+    std::vector<Str> answers;
     std::vector<OutputConstraint> constraints = LawlerConstraints(
-        query::EmaxContext(mu, BackendChoice::kDense), pruned, 12);
+        query::EmaxContext(mu, BackendChoice::kDense), pruned, 12, &answers);
     for (OutputConstraint& c : HandBuiltConstraints(mu.length(), rng)) {
+      constraints.push_back(std::move(c));
+    }
+    for (OutputConstraint& c :
+         AnswerConstraints(answers, pruned.output_alphabet())) {
       constraints.push_back(std::move(c));
     }
     for (BackendChoice backend : {BackendChoice::kDense, BackendChoice::kSparse}) {

@@ -499,7 +499,6 @@ TEST_F(ServeTest, DrainModeRefusesEveryQuery) {
 }
 
 TEST_F(ServeTest, OverLimitQueryGets429WhileSlotIsHeld) {
-  obs::SetEnabled(true);  // the in-flight gauge below must be collected
   ServerOptions options;
   options.max_inflight = 1;
   StartServer(options);
@@ -520,22 +519,12 @@ TEST_F(ServeTest, OverLimitQueryGets429WhileSlotIsHeld) {
   // Wait until A actually occupies the slot (ReadBody runs after the
   // gate), then send B once. A B sent earlier could take the slot itself
   // and leave A with the 429.
-#if TMS_OBS_ACTIVE
-  // The server's in-flight gauge says when A holds the slot.
   bool held = false;
   for (int attempt = 0; attempt < 500 && !held; ++attempt) {
-    auto metrics = ParseResponse(Get(port_, "/metrics"));
-    held = metrics.has_value() &&
-           metrics->body.find("\ntms_serve_admission_inflight 1\n") !=
-               std::string::npos;
+    held = server_->inflight() == 1;
     if (!held) std::this_thread::sleep_for(std::chrono::milliseconds(10));
   }
   ASSERT_TRUE(held) << "A never reached the admission gate";
-#else
-  // Compiled-out instrumentation exports no gauge; give A's connection
-  // thread time to pass the gate.
-  std::this_thread::sleep_for(std::chrono::milliseconds(200));
-#endif
   auto rejected = ParseResponse(Post(port_, "/query/fig1?k=1", body));
   ASSERT_TRUE(rejected.has_value());
   EXPECT_EQ(rejected->code, 429);

@@ -12,6 +12,8 @@
 #include <utility>
 #include <vector>
 
+#include "common/check.h"
+#include "common/rng.h"
 #include "db/batch_evaluator.h"
 #include "db/collection.h"
 #include "exec/engine_options.h"
@@ -22,6 +24,7 @@
 #include "query/answers.h"
 #include "strings/str.h"
 #include "transducer/transducer.h"
+#include "workload/random_models.h"
 
 namespace tms::testing {
 
@@ -45,6 +48,40 @@ inline uint64_t TestSeed(uint64_t fallback) {
 /// suite states how to reproduce it.
 inline std::string SeedTrace(uint64_t seed) {
   return "replay with TMS_TEST_SEED=" + std::to_string(seed);
+}
+
+/// A length-n chain over `sigma` nodes whose every distribution puts
+/// 1/support on `support` distinct random nodes (support 2 or 4):
+/// equal-length worlds then share exact log-probabilities, so a DP's
+/// tie-breaks decide its witnesses.
+inline markov::MarkovSequence TiedChain(int sigma, int n, Rng& rng) {
+  auto row = [&] {
+    const int support = rng.Bernoulli(0.5) ? 2 : 4;
+    std::vector<double> out(static_cast<size_t>(sigma), 0.0);
+    for (int placed = 0; placed < support;) {
+      const size_t node = static_cast<size_t>(rng.UniformInt(0, sigma - 1));
+      if (out[node] == 0.0) {
+        out[node] = 1.0 / support;
+        ++placed;
+      }
+    }
+    return out;
+  };
+  std::vector<double> initial = row();
+  std::vector<std::vector<double>> steps;
+  for (int i = 1; i < n; ++i) {
+    std::vector<double> m;
+    for (int s = 0; s < sigma; ++s) {
+      std::vector<double> r = row();
+      m.insert(m.end(), r.begin(), r.end());
+    }
+    steps.push_back(std::move(m));
+  }
+  auto mu = markov::MarkovSequence::Create(workload::MakeSymbols(sigma, "n"),
+                                           std::move(initial),
+                                           std::move(steps));
+  TMS_CHECK(mu.ok());
+  return std::move(mu).value();
 }
 
 /// Ground-truth evaluation by exhausting all possible worlds: the map from

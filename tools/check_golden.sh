@@ -17,9 +17,20 @@
 # that it kept every answer.
 #
 # A divergence means user-visible output changed: either fix the
-# regression or regenerate deliberately:
+# regression or regenerate deliberately. A moved key set (a metric added,
+# renamed or dropped) is regenerated by
 #
 #   TMS_UPDATE_GOLDEN=1 tools/check_golden.sh <tms_cli> <repo-root>
+#
+# which first runs every answer-stream comparison and the thread × backend
+# sweep. If any of them diverged it writes nothing and exits 1; otherwise
+# it rewrites only the *_stats_keys.golden files that differ and prints
+# each one. It never rewrites an answer stream: a deliberate change to one
+# is regenerated by hand, by running its capture command below and
+# reviewing the diff, e.g.
+#
+#   tms_cli topk examples/data/hospital.tms examples/data/place_tracker.tms 5 \
+#       > tests/golden/hospital_topk.golden
 #
 # The generated data files under tests/golden/data/ are committed; rebuild
 # them (new seeds/workload changes) with tools/make_golden_data, then
@@ -66,16 +77,9 @@ capture hospital_sproj "$DATA/hospital.tms" "$DATA/lab_visit.tms" 5
 capture running_example "$GDATA/fig1.tms" "$GDATA/fig2_query.tms" 5
 capture bio_motif "$GDATA/motif.tms" "$GDATA/motif_query.tms" 5
 
-if [ -n "${TMS_UPDATE_GOLDEN:-}" ]; then
-  for name in $CASES; do
-    cp "$OUT/${name}_topk.golden" "$OUT/${name}_stats_keys.golden" "$GOLD/"
-    echo "updated $name"
-  done
-else
-  for name in $CASES; do
-    compare "${name}_topk.golden" "answer stream"
-  done
-fi
+for name in $CASES; do
+  compare "${name}_topk.golden" "answer stream"
+done
 
 # Neither the thread count nor the kernel backend may change the answer
 # stream: the max-plus kernels are exact at any concurrency, and the
@@ -95,15 +99,31 @@ for th in 1 2 8; do
   done
 done
 
-if [ -z "${TMS_UPDATE_GOLDEN:-}" ]; then
+if [ -n "${TMS_UPDATE_GOLDEN:-}" ]; then
+  if [ -n "$failed" ]; then
+    echo "update refused, nothing written: answer streams diverged:$failed" >&2
+    echo "regenerate a deliberately changed answer stream by hand (see" \
+         "the header of $0)" >&2
+    exit 1
+  fi
   for name in $CASES; do
-    compare "${name}_stats_keys.golden" "stats key set"
+    file="${name}_stats_keys.golden"
+    if ! cmp -s "$OUT/$file" "$GOLD/$file"; then
+      cp "$OUT/$file" "$GOLD/$file"
+      echo "updated $GOLD/$file"
+    fi
   done
+  exit 0
 fi
+
+for name in $CASES; do
+  compare "${name}_stats_keys.golden" "stats key set"
+done
 
 if [ -n "$failed" ]; then
   echo "golden corpus diverged:$failed" >&2
-  echo "regenerate deliberately with TMS_UPDATE_GOLDEN=1 $0 $CLI $ROOT" >&2
+  echo "a moved key set is regenerated with TMS_UPDATE_GOLDEN=1 $0 $CLI" \
+       "$ROOT; an answer stream only by hand (see the header of $0)" >&2
   exit 1
 fi
-[ -n "${TMS_UPDATE_GOLDEN:-}" ] || echo "golden corpus OK"
+echo "golden corpus OK"
