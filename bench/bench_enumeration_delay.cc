@@ -56,10 +56,12 @@ std::vector<std::string>& ExplainDocs() {
 }
 
 // Runs `fn` under its own obs::QueryScope and captures the per-query
-// explain JSON. The engines must be constructed inside `fn` so they
+// explain JSON, whose delay section reads the histogram `delay_histogram`
+// that `fn` laps. The engines must be constructed inside `fn` so they
 // capture the scope's trace context.
 template <typename Fn>
-void RunAsQuery(const std::string& name, int threads, Fn fn) {
+void RunAsQuery(const std::string& name, int threads,
+                const std::string& delay_histogram, Fn fn) {
   obs::QueryScope scope(name);
   const int64_t start_ns = obs::MonotonicNanos();
   fn();
@@ -69,6 +71,7 @@ void RunAsQuery(const std::string& name, int threads, Fn fn) {
   input.duration_ns = obs::MonotonicNanos() - start_ns;
   input.threads = threads;
   input.stats = scope.Snapshot();
+  input.delay_histogram = delay_histogram;
   ExplainDocs().push_back(obs::ExplainJson(input));
 }
 
@@ -117,14 +120,22 @@ projector::SProjector RandomProjector(const Alphabet& ab, Rng& rng) {
   return std::move(p).value();
 }
 
+// The delay recorder name of one E12 table cell; its histogram is
+// `<name>.delay_ns`.
+std::string DelayCell(const std::string& engine, int n) {
+  std::string cell = "bench.delay.";
+  cell += engine;
+  cell += ".n";
+  cell += std::to_string(n);
+  return cell;
+}
+
 // Runs `next` until exhaustion (or `limit` answers), lapping a dedicated
-// delay histogram `bench.delay.<engine>.n<k>` per answer, then prints one
-// table row and records the distribution in the bench JSON.
+// delay histogram `bench.delay.<engine>.n<k>.delay_ns` per answer, then
+// prints one table row and records the distribution in the bench JSON.
 template <typename NextFn>
 void MeasureDelays(const char* engine, int n, int limit, NextFn next) {
-  std::string cell =
-      std::string("bench.delay.") + engine + ".n" + std::to_string(n);
-  obs::DelayRecorder delay(cell);
+  obs::DelayRecorder delay(DelayCell(engine, n));
   int count = 0;
   delay.Restart();
   while (count < limit && next()) {
@@ -157,7 +168,8 @@ void PrintReproduction() {
               "answers", "max (ms)", "p50 (ms)", "p99 (ms)", "total (ms)");
   for (int n : {8, 16, 32, 64}) {
     Instance inst = MakeInstance(n, 211);
-    RunAsQuery("unranked.n=" + std::to_string(n), 1, [&] {
+    RunAsQuery("unranked.n=" + std::to_string(n), 1,
+               DelayCell("unranked", n) + ".delay_ns", [&] {
       query::UnrankedEnumerator it(inst.mu, inst.t);
       MeasureDelays("unranked", n, 200,
                     [&] { return it.Next().has_value(); });
@@ -165,7 +177,8 @@ void PrintReproduction() {
   }
   for (int n : {8, 16, 32, 64}) {
     Instance inst = MakeInstance(n, 211);
-    RunAsQuery("emax.n=" + std::to_string(n), 1, [&] {
+    RunAsQuery("emax.n=" + std::to_string(n), 1,
+               DelayCell("emax", n) + ".delay_ns", [&] {
       query::EmaxEnumerator it(inst.mu, inst.t);
       MeasureDelays("emax", n, 100, [&] { return it.Next().has_value(); });
     });
@@ -181,7 +194,8 @@ void PrintReproduction() {
       projector::SProjector p = RandomProjector(mu.nodes(), rng);
       auto probe = projector::ImaxEnumerator::Create(&mu, &p);
       if (!probe.ok() || !probe->Next().has_value()) continue;
-      RunAsQuery("imax.n=" + std::to_string(n), 1, [&] {
+      RunAsQuery("imax.n=" + std::to_string(n), 1,
+                 DelayCell("imax", n) + ".delay_ns", [&] {
         auto it = projector::ImaxEnumerator::Create(&mu, &p);
         MeasureDelays("imax", n, 100,
                       [&] { return it->Next().has_value(); });
@@ -221,14 +235,21 @@ void PrintMultiThread() {
       }
       std::vector<ranking::ScoredAnswer> answers;
       double total_ms = 0.0;
+      // The bare engine times nothing itself: lap a recorder per answer,
+      // as MeasureDelays does.
+      std::string engine = "emax.t";
+      engine += std::to_string(threads);
+      const std::string cell = DelayCell(engine, n);
       RunAsQuery("emax.threads=" + std::to_string(threads) +
                      ".n=" + std::to_string(n),
-                 threads, [&] {
+                 threads, cell + ".delay_ns", [&] {
         query::EmaxEnumerator it(inst.mu, inst.t, {.pool = pool.get()});
+        obs::DelayRecorder delay(cell);
         Stopwatch wall;
         while (static_cast<int>(answers.size()) < 100) {
           auto answer = it.Next();
           if (!answer.has_value()) break;
+          delay.RecordAnswer();
           answers.push_back(std::move(*answer));
         }
         total_ms = wall.ElapsedSeconds() * 1e3;
@@ -337,7 +358,8 @@ bool PrintPipeline() {
     size_t answers = 0;
     for (int drain = 0; drain < kDrains; ++drain) {
       std::vector<query::AnswerInfo> got;
-      RunAsQuery("pipeline.threads=" + std::to_string(threads), threads, [&] {
+      RunAsQuery("pipeline.threads=" + std::to_string(threads), threads,
+                 "query.topk.delay_ns", [&] {
         auto pipeline = query::AnswerPipeline::Create(
             mu, t, query::AnswerMode::kRanked, {.pool = pool.get()});
         TMS_CHECK(pipeline.ok());

@@ -67,7 +67,6 @@ Dfa Determinize(const Nfa& nfa) {
     next_of.push_back(std::move(row));
   }
 
-  TMS_OBS_COUNT("automata.determinize.calls", 1);
   TMS_OBS_HISTOGRAM("automata.determinize.states", subsets.size());
   Dfa out(nfa.alphabet(), static_cast<int>(subsets.size()));
   out.SetInitial(start);
@@ -151,7 +150,6 @@ Dfa Minimize(const Dfa& dfa) {
     block = std::move(new_block);
   }
 
-  TMS_OBS_COUNT("automata.minimize.calls", 1);
   TMS_OBS_HISTOGRAM("automata.minimize.blocks", num_blocks);
   Dfa out(dfa.alphabet(), num_blocks);
   out.SetInitial(block[static_cast<size_t>(dfa.initial())]);
@@ -171,7 +169,6 @@ Dfa Product(const Dfa& a, const Dfa& b, BoolOp op) {
   TMS_CHECK(a.alphabet() == b.alphabet());
   const size_t sigma = a.alphabet().size();
   const int nb = b.num_states();
-  TMS_OBS_COUNT("automata.product.calls", 1);
   TMS_OBS_HISTOGRAM("automata.product.states", a.num_states() * nb);
   Dfa out(a.alphabet(), a.num_states() * nb);
   auto id = [nb](StateId qa, StateId qb) {

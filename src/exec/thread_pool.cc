@@ -72,7 +72,6 @@ void ThreadPool::WorkerLoop() {
 
 void ThreadPool::ParallelFor(int64_t n, const std::function<void(int64_t)>& fn) {
   if (n <= 0) return;
-  TMS_OBS_COUNT("exec.pool.batches", 1);
   TMS_OBS_COUNT("exec.pool.items", n);
   TMS_OBS_HISTOGRAM("exec.pool.batch_items", n);
   if (workers_.empty() || n == 1) {

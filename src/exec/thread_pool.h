@@ -20,9 +20,9 @@
 //     Status); an escaping exception terminates the process.
 //
 // Observability (docs/OBSERVABILITY.md): `exec.pool.threads` gauge,
-// `exec.pool.batches` / `exec.pool.items` / `exec.pool.worker_items` /
-// `exec.pool.caller_items` counters, and the `exec.pool.batch_items`
-// histogram (fan-out distribution per ParallelFor).
+// `exec.pool.items` / `exec.pool.worker_items` / `exec.pool.caller_items`
+// counters, and the `exec.pool.batch_items` histogram (items per
+// ParallelFor; its count is the number of batches).
 
 #ifndef TMS_EXEC_THREAD_POOL_H_
 #define TMS_EXEC_THREAD_POOL_H_

@@ -1,12 +1,13 @@
-// Per-answer delay recorder for the enumeration engines.
+// Per-answer delay recorder for answer streams.
 //
 // The paper's headline guarantees are polynomial *delay* bounds between
 // consecutive enumerated answers (Theorems 4.1, 4.3, 5.11). A
-// DelayRecorder turns that claim into a measured distribution: each
-// enumerator owns one, laps it on every emitted answer, and the
-// inter-answer delays accumulate into a registry histogram named
-// `<name>.delay_ns` (max / p50 / p99 readable from its snapshot, see
-// docs/OBSERVABILITY.md).
+// DelayRecorder turns that claim into a measured distribution: its owner
+// laps it on every emitted answer, and the inter-answer delays accumulate
+// into a registry histogram named `<name>.delay_ns` (max / p50 / p99
+// readable from its snapshot, see docs/OBSERVABILITY.md). The answer
+// pipeline (query/answers.h) owns the one per stream; the server owns a
+// second for the wire, and the benches lap their own around bare engines.
 
 #ifndef TMS_OBS_DELAY_H_
 #define TMS_OBS_DELAY_H_

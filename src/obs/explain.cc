@@ -24,23 +24,11 @@ const HistogramSnapshot* FindHistogram(const RegistrySnapshot& s,
   return it == s.histograms.end() ? nullptr : &it->second;
 }
 
-/// The per-answer delay distribution: the `.delay_ns` histogram with the
-/// most observations (one engine dominates a single query; ties are broken
-/// by name order, deterministically).
-struct DelayPick {
-  std::string source;
-  HistogramSnapshot hist;
-};
-DelayPick PickDelay(const RegistrySnapshot& s) {
-  DelayPick pick;
-  for (const auto& [name, hist] : s.histograms) {
-    if (!EndsWith(name, ".delay_ns")) continue;
-    if (hist.count > pick.hist.count) {
-      pick.source = name;
-      pick.hist = hist;
-    }
-  }
-  return pick;
+/// The delay histogram the caller named, or an empty one.
+HistogramSnapshot DelayOf(const ExplainInput& input) {
+  const HistogramSnapshot* hist =
+      FindHistogram(input.stats, input.delay_histogram);
+  return hist != nullptr ? *hist : HistogramSnapshot{};
 }
 
 int64_t DenseKernelCalls(const RegistrySnapshot& s) {
@@ -113,7 +101,7 @@ ExplainPhases DerivePhases(const ExplainInput& input) {
 
 std::string ExplainJson(const ExplainInput& input) {
   const ExplainPhases phases = DerivePhases(input);
-  const DelayPick delay = PickDelay(input.stats);
+  const HistogramSnapshot delay = DelayOf(input);
   const HistogramSnapshot* composed =
       FindHistogram(input.stats, "query.emax_enum.composed_states");
   const HistogramSnapshot* product =
@@ -142,19 +130,19 @@ std::string ExplainJson(const ExplainInput& input) {
   out += ',';
   AppendKeyI64("other_ns", phases.other_ns, &out);
   out += "},\"delay\":{\"source\":\"";
-  AppendJsonEscaped(delay.source, &out);
+  AppendJsonEscaped(input.delay_histogram, &out);
   out += "\",";
-  AppendKeyI64("count", delay.hist.count, &out);
+  AppendKeyI64("count", delay.count, &out);
   out += ",\"mean_ns\":";
-  AppendJsonNumber(delay.hist.Mean(), &out);
+  AppendJsonNumber(delay.Mean(), &out);
   out += ',';
-  AppendKeyI64("p50_ns", delay.hist.Quantile(0.50), &out);
+  AppendKeyI64("p50_ns", delay.Quantile(0.50), &out);
   out += ',';
-  AppendKeyI64("p90_ns", delay.hist.Quantile(0.90), &out);
+  AppendKeyI64("p90_ns", delay.Quantile(0.90), &out);
   out += ',';
-  AppendKeyI64("p99_ns", delay.hist.Quantile(0.99), &out);
+  AppendKeyI64("p99_ns", delay.Quantile(0.99), &out);
   out += ',';
-  AppendKeyI64("max_ns", delay.hist.max, &out);
+  AppendKeyI64("max_ns", delay.max, &out);
   out += "},\"kernels\":{";
   AppendKeyI64("dense_calls", DenseKernelCalls(input.stats), &out);
   out += ',';
@@ -200,7 +188,7 @@ std::string ExplainJson(const ExplainInput& input) {
 
 std::string ExplainText(const ExplainInput& input) {
   const ExplainPhases phases = DerivePhases(input);
-  const DelayPick delay = PickDelay(input.stats);
+  const HistogramSnapshot delay = DelayOf(input);
   const HistogramSnapshot* composed =
       FindHistogram(input.stats, "query.emax_enum.composed_states");
   const HistogramSnapshot* product =
@@ -231,16 +219,16 @@ std::string ExplainText(const ExplainInput& input) {
       Pct(phases.confidence_ns, accounted).c_str(),
       Ms(phases.other_ns).c_str(), Pct(phases.other_ns, accounted).c_str());
   out += buf;
-  if (delay.hist.count > 0) {
+  if (delay.count > 0) {
     std::snprintf(buf, sizeof(buf),
                   "  delay:   n=%lld mean=%s p50=%s p90=%s p99=%s max=%s "
                   "(%s)\n",
-                  static_cast<long long>(delay.hist.count),
-                  Ms(static_cast<int64_t>(delay.hist.Mean())).c_str(),
-                  Ms(delay.hist.Quantile(0.50)).c_str(),
-                  Ms(delay.hist.Quantile(0.90)).c_str(),
-                  Ms(delay.hist.Quantile(0.99)).c_str(),
-                  Ms(delay.hist.max).c_str(), delay.source.c_str());
+                  static_cast<long long>(delay.count),
+                  Ms(static_cast<int64_t>(delay.Mean())).c_str(),
+                  Ms(delay.Quantile(0.50)).c_str(),
+                  Ms(delay.Quantile(0.90)).c_str(),
+                  Ms(delay.Quantile(0.99)).c_str(),
+                  Ms(delay.max).c_str(), input.delay_histogram.c_str());
     out += buf;
   } else {
     out += "  delay:   no answers recorded\n";

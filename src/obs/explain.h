@@ -1,15 +1,16 @@
 // EXPLAIN-ANALYZE-style per-query cost report.
 //
 // An ExplainInput is assembled from a finished (or finishing) query: its
-// QueryScope's registry snapshot plus the exec outcome the caller already
-// holds (stop reason, budget/deadline consumption). ExplainJson /
+// QueryScope's registry snapshot, the name of the delay histogram of the
+// answer mode it ran, and the exec outcome the caller already holds (stop
+// reason, budget/deadline consumption). ExplainJson /
 // ExplainText render it; both emit EVERY field with zero defaults so the
 // JSON key set is workload-independent (tools/check_stats_schema.sh
 // golden-checks it).
 //
-// The phase breakdown is derived from the *_ns histograms the engines
-// record (optimize.optimize_ns, then compose_ns / solve_ns / oracle_ns /
-// merge_ns / confidence_ns);
+// The phase breakdown is derived from the *_ns histograms the engines and
+// the answer pipeline record (optimize.optimize_ns, then compose_ns /
+// solve_ns / oracle_ns / merge_ns / confidence_ns);
 // whatever wall time they do not account for is reported as `other_ns`
 // (answer emission, heap bookkeeping, instrumentation). Phase sums are
 // CPU-time-like: with a thread pool they can exceed the wall duration.
@@ -38,6 +39,10 @@ struct ExplainInput {
   int threads = 1;
   std::string backend = "auto";  ///< requested kernel backend
   RegistrySnapshot stats;
+  /// The `*.delay_ns` histogram of `stats` the delay section reports: the
+  /// answer pipeline's `query.<mode>.delay_ns` (query/answers.h) for the
+  /// mode the caller ran. Empty = no answer stream (all-zero delay).
+  std::string delay_histogram;
 
   // Exec outcome (exec::RunContext); negative = not configured.
   std::string stop_reason = "none";

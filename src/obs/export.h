@@ -40,9 +40,9 @@ void AppendPrometheusNumber(double v, std::string* out);
 std::string PrometheusLabelEscape(std::string_view value);
 
 /// The snapshot as one JSON object:
-///   {"counters": {"ranking.lawler.pops": 5, ...},
+///   {"counters": {"ranking.lawler.solver_calls": 5, ...},
 ///    "gauges": {...},
-///    "histograms": {"query.emax_enum.delay_ns":
+///    "histograms": {"query.topk.delay_ns":
 ///        {"count":..,"sum":..,"min":..,"max":..,"mean":..,
 ///         "p50":..,"p90":..,"p99":..,
 ///         "buckets":[{"le":..,"count":..}, ...]}, ...}}

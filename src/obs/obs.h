@@ -6,8 +6,8 @@
 // configured with -DTMS_OBS=OFF (TMS_OBS_ENABLED=0), so disabled builds
 // carry zero overhead — not even the string literal survives.
 //
-// Naming scheme: `<module>.<name>` (e.g. `ranking.lawler.pops`); see
-// docs/OBSERVABILITY.md for the full catalogue.
+// Naming scheme: `<module>.<name>` (e.g. `ranking.lawler.solver_calls`);
+// see docs/OBSERVABILITY.md for the full catalogue.
 
 #ifndef TMS_OBS_OBS_H_
 #define TMS_OBS_OBS_H_

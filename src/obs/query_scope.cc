@@ -57,7 +57,6 @@ QueryScope::~QueryScope() {
 
   // Process-global summary, so long-lived servers can watch query volume
   // and latency without retaining per-query registries.
-  Registry::Global().counter("obs.query.count").Add(1);
   Registry::Global().histogram("obs.query.duration_ns").Record(duration_ns);
 
   // Root span: parents every top-level span of this query in the trace,

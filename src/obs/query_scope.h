@@ -19,8 +19,9 @@
 //     child solves, batch fan-out — parent correctly under the query's
 //     root span;
 //   * on destruction it publishes a process-global summary
-//     (`obs.query.count`, `obs.query.duration_ns`) and one wide
-//     per-query event into the flight recorder (obs/flight_recorder.h).
+//     (`obs.query.duration_ns`, whose count is the number of queries) and
+//     one wide per-query event into the flight recorder
+//     (obs/flight_recorder.h).
 //
 // Threading contract: a QueryScope is created and destroyed on the same
 // thread (it installs itself into that thread's trace state, stack-like —

@@ -30,7 +30,6 @@ int CountEdges(const Transducer& t) {
 /// every pass — zero deltas included — so the stats-key schema does not
 /// depend on whether the pass found anything to remove.
 void RecordPass(const OptimizeStats& stats, int64_t elapsed_ns) {
-  TMS_OBS_COUNT("optimize.passes", 1);
   TMS_OBS_COUNT("optimize.states_removed",
                 stats.states_unreachable + stats.states_dead);
   TMS_OBS_COUNT("optimize.edges_removed",

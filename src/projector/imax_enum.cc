@@ -20,25 +20,12 @@ double ImaxOfAnswer(const IndexedConfidence& conf, const Str& o) {
 }
 
 struct ImaxEnumerator::State {
-  // Set only by WithOwnedInputs; `mu` / `p` point here in that case. The
-  // State lives on the heap behind a shared_ptr, so moving the enumerator
-  // never relocates them.
-  std::optional<markov::MarkovSequence> owned_mu;
-  std::optional<SProjector> owned_p;
-
   const markov::MarkovSequence* mu;
   const SProjector* p;
   ContextTables tables;
 
   State(const markov::MarkovSequence* mu_in, const SProjector* p_in)
       : mu(mu_in), p(p_in), tables(*mu_in, p_in->prefix(), p_in->suffix()) {}
-
-  State(markov::MarkovSequence mu_in, SProjector p_in)
-      : owned_mu(std::move(mu_in)),
-        owned_p(std::move(p_in)),
-        mu(&*owned_mu),
-        p(&*owned_p),
-        tables(*mu, owned_p->prefix(), owned_p->suffix()) {}
 };
 
 ImaxEnumerator::ImaxEnumerator(std::shared_ptr<State> state,
@@ -49,7 +36,6 @@ ImaxEnumerator::ImaxEnumerator(std::shared_ptr<State> state,
       [s](const ranking::OutputConstraint& c)
           -> std::optional<ranking::ScoredAnswer> {
         TMS_OBS_SPAN("projector.imax_enum.subspace_solve");
-        TMS_OBS_COUNT("projector.imax_enum.dag_builds", 1);
 #if TMS_OBS_ACTIVE
         const int64_t solve_start_ns = obs::MonotonicNanos();
 #endif
@@ -78,28 +64,6 @@ StatusOr<ImaxEnumerator> ImaxEnumerator::Create(
         "Markov sequence node set and s-projector alphabet differ");
   }
   return ImaxEnumerator(std::make_shared<State>(mu, p), options);
-}
-
-StatusOr<ImaxEnumerator> ImaxEnumerator::WithOwnedInputs(
-    markov::MarkovSequence mu, SProjector p,
-    const exec::EngineOptions& options) {
-  if (!(mu.nodes() == p.alphabet())) {
-    return Status::InvalidArgument(
-        "Markov sequence node set and s-projector alphabet differ");
-  }
-  return ImaxEnumerator(std::make_shared<State>(std::move(mu), std::move(p)),
-                        options);
-}
-
-std::optional<ranking::ScoredAnswer> ImaxEnumerator::NextWith(
-    const ranking::AnswerTask& task) {
-  obs::ScopeAdoption adopt(obs_ctx_);
-  auto answer = lawler_->NextWith(task);
-  if (answer.has_value()) {
-    TMS_OBS_COUNT("projector.imax_enum.answers", 1);
-    delay_.RecordAnswer();
-  }
-  return answer;
 }
 
 StatusOr<SimpleImaxEnumerator> SimpleImaxEnumerator::Create(

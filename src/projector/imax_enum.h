@@ -21,7 +21,6 @@
 
 #include "exec/engine_options.h"
 #include "markov/markov_sequence.h"
-#include "obs/delay.h"
 #include "projector/indexed_confidence.h"
 #include "projector/indexed_enum.h"
 #include "projector/sprojector.h"
@@ -39,9 +38,8 @@ double ImaxOfAnswer(const IndexedConfidence& conf, const Str& o);
 class ImaxEnumerator : public ranking::AnswerStream {
  public:
   /// Fails on alphabet mismatch. `mu` and `p` are non-owning and must
-  /// outlive the enumerator (use WithOwnedInputs otherwise — the uniform
-  /// borrow-vs-own contract of ranking/answer_stream.h); the shared solver
-  /// state (context tables) is owned and pinned by the solver itself.
+  /// outlive the enumerator; the shared solver state (context tables) is
+  /// owned and pinned by the solver itself.
   ///
   /// Of EngineOptions this engine uses `pool` and `run`. `pool` solves the
   /// child subspaces of each pop concurrently — the solver only reads the
@@ -55,12 +53,6 @@ class ImaxEnumerator : public ranking::AnswerStream {
       const markov::MarkovSequence* mu, const SProjector* p,
       const exec::EngineOptions& options = {});
 
-  /// Takes ownership of copies of the inputs — safe even when the caller's
-  /// originals are temporaries or die before the enumerator does.
-  static StatusOr<ImaxEnumerator> WithOwnedInputs(
-      markov::MarkovSequence mu, SProjector p,
-      const exec::EngineOptions& options = {});
-
   /// The next answer (score = its I_max), or nullopt when exhausted.
   std::optional<ranking::ScoredAnswer> Next() override {
     return NextWith(ranking::AnswerTask());
@@ -69,7 +61,9 @@ class ImaxEnumerator : public ranking::AnswerStream {
   /// Next(), with `task` run on the answer beside the pop's child solves
   /// when the engine has a pool (ranking::LawlerEnumerator::NextWith).
   std::optional<ranking::ScoredAnswer> NextWith(
-      const ranking::AnswerTask& task) override;
+      const ranking::AnswerTask& task) override {
+    return lawler_->NextWith(task);
+  }
 
  private:
   struct State;
@@ -78,8 +72,6 @@ class ImaxEnumerator : public ranking::AnswerStream {
 
   std::shared_ptr<State> state_;
   std::unique_ptr<ranking::LawlerEnumerator> lawler_;
-  obs::TraceContext obs_ctx_{obs::CurrentTraceContext()};
-  obs::DelayRecorder delay_{"projector.imax_enum"};
 };
 
 /// Convenience: the k outputs with the highest I_max.

@@ -34,6 +34,18 @@ transducer::Transducer AsTransducer(Query query) {
   return std::get<transducer::Transducer>(std::move(query));
 }
 
+const char* MetricPrefix(AnswerMode mode) {
+  switch (mode) {
+    case AnswerMode::kRanked:
+      return "query.topk";
+    case AnswerMode::kEnum:
+      return "query.enum";
+    case AnswerMode::kTwoStep:
+      return "query.twostep";
+  }
+  return "query.unknown";
+}
+
 StatusOr<AnswerPipeline> AnswerPipeline::Create(
     const markov::MarkovSequence& mu, const transducer::Transducer& t,
     AnswerMode mode, const exec::EngineOptions& options) {
@@ -71,7 +83,7 @@ Status AnswerPipeline::Start(
     StatusOr<std::unique_ptr<ranking::AnswerStream>> stream) {
   if (!stream.ok()) return stream.status();
   stream_ = std::move(stream).value();
-  if (mode_ == AnswerMode::kRanked) delay_.emplace("query.topk");
+  delay_.Restart();
   return Status::Ok();
 }
 
@@ -86,12 +98,6 @@ StatusOr<double> AnswerPipeline::Confidence(const Str& o) const {
 }
 
 StatusOr<std::optional<AnswerInfo>> AnswerPipeline::Next() {
-  if (mode_ == AnswerMode::kEnum) {
-    std::optional<ranking::ScoredAnswer> answer = stream_->Next();
-    if (!answer.has_value()) return std::optional<AnswerInfo>();
-    return std::optional<AnswerInfo>(
-        AnswerInfo{std::move(answer->output), answer->score, 0.0});
-  }
   // The confidence is a pure function of (μ, query, answer), so the stream
   // may compute it beside the pop's child solves, on any pool thread.
   StatusOr<double> confidence = 0.0;
@@ -102,22 +108,20 @@ StatusOr<std::optional<AnswerInfo>> AnswerPipeline::Next() {
     confidence = Confidence(answer.output);
     confidence_ns = obs::MonotonicNanos() - start_ns;
   };
-  std::optional<ranking::ScoredAnswer> answer =
-      stream_->NextWith(ranking::AnswerTask(confidence_task));
+  std::optional<ranking::ScoredAnswer> answer = stream_->NextWith(
+      mode_ == AnswerMode::kEnum ? ranking::AnswerTask()
+                                 : ranking::AnswerTask(confidence_task));
   if (!answer.has_value()) return std::optional<AnswerInfo>();
   if (!confidence.ok()) return confidence.status();
-  AnswerInfo info{std::move(answer->output), answer->score, *confidence};
   if (mode_ == AnswerMode::kRanked) {
-    TMS_OBS_COUNT("query.topk.confidence_calls", 1);
     TMS_OBS_HISTOGRAM("query.topk.confidence_ns", confidence_ns);
-    TMS_OBS_COUNT("query.topk.answers", 1);
-    delay_->RecordAnswer();
-  } else {
-    TMS_OBS_COUNT("query.twostep.confidence_calls", 1);
-    TMS_OBS_COUNT("query.twostep.answers", 1);
+  } else if (mode_ == AnswerMode::kTwoStep) {
+    TMS_OBS_HISTOGRAM("query.twostep.confidence_ns", confidence_ns);
   }
   (void)confidence_ns;  // unread in the compiled-out build
-  return std::optional<AnswerInfo>(std::move(info));
+  delay_.RecordAnswer();
+  return std::optional<AnswerInfo>(
+      AnswerInfo{std::move(answer->output), answer->score, *confidence});
 }
 
 StatusOr<std::vector<AnswerInfo>> AnswerPipeline::Take(int64_t limit) {

@@ -5,10 +5,13 @@
 // s-projector (Theorem 5.2), each carrying its exact confidence
 // (Theorems 4.6–4.9, 5.5). AnswerPipeline is that stream. It builds the
 // engine through query::MakeEnumerator, attaches the confidence of every
-// answer it emits, and records the `query.topk.*` metrics. It hands each
-// confidence to the engine as a side task (ranking::AnswerStream::
-// NextWith), so a ranked engine with a pool computes it beside the child
-// solves of the pop that produced the answer. tms_server's
+// answer it emits, and is the one place answers are timed: every mode
+// records its per-answer delay, and the confidence modes the time of each
+// confidence, under the mode's MetricPrefix. The engines record solver
+// work only. It hands each confidence to the engine as a side task
+// (ranking::AnswerStream::NextWith), so a ranked engine with a pool
+// computes it beside the child solves of the pop that produced the
+// answer. tms_server's
 // /query, tms_cli's topk / enum / explain, and query::Evaluator (hence
 // db::BatchEvaluator, /batch and db::SequenceCollection) all pull their
 // answers from it, so every ranked stream is computed and measured by
@@ -58,15 +61,22 @@ transducer::Transducer AsTransducer(Query query);
 /// Which stream an AnswerPipeline produces.
 enum class AnswerMode {
   /// Decreasing E_max (transducer) or I_max (s-projector), each answer
-  /// with its exact confidence. Records `query.topk.*`.
+  /// with its exact confidence.
   kRanked,
   /// The unranked stream of Theorem 4.1, without scores or confidences
   /// (`mode=enum`, `tms_cli enum`).
   kEnum,
   /// The unranked stream, each answer with its exact confidence: the
-  /// naive two-step evaluation of §1. Records `query.twostep.*`.
+  /// naive two-step evaluation of §1.
   kTwoStep,
 };
+
+/// The metric prefix of a mode's answer stream: `query.topk` (ranked),
+/// `query.enum` or `query.twostep`. The pipeline records
+/// `<prefix>.delay_ns` per answer (obs::DelayRecorder: what a client
+/// waits between answers, confidence included) and, in the two modes
+/// with confidences, `<prefix>.confidence_ns` per answer.
+const char* MetricPrefix(AnswerMode mode);
 
 class AnswerPipeline {
  public:
@@ -104,7 +114,12 @@ class AnswerPipeline {
                  const transducer::Transducer* t,
                  const projector::SProjector* p, AnswerMode mode,
                  kernels::BackendChoice backend)
-      : mu_(&mu), t_(t), p_(p), mode_(mode), backend_(backend) {}
+      : mu_(&mu),
+        t_(t),
+        p_(p),
+        mode_(mode),
+        backend_(backend),
+        delay_(MetricPrefix(mode)) {}
 
   // Takes the engine MakeEnumerator built, or its error.
   Status Start(StatusOr<std::unique_ptr<ranking::AnswerStream>> stream);
@@ -118,9 +133,8 @@ class AnswerPipeline {
   AnswerMode mode_;
   kernels::BackendChoice backend_;
   std::unique_ptr<ranking::AnswerStream> stream_;
-  // End-to-end per-answer delay of a ranked stream, confidence included:
-  // what a top-k client waits between answers.
-  std::optional<obs::DelayRecorder> delay_;
+  // `<MetricPrefix(mode)>.delay_ns`, timed from the end of Start().
+  obs::DelayRecorder delay_;
 };
 
 }  // namespace tms::query

@@ -14,14 +14,11 @@
 
 #include <memory>
 #include <optional>
-#include <utility>
 
 #include "exec/engine_options.h"
 #include "exec/run_context.h"
 #include "exec/thread_pool.h"
 #include "markov/markov_sequence.h"
-#include "obs/delay.h"
-#include "obs/query_scope.h"
 #include "ranking/answer_stream.h"
 #include "ranking/lawler.h"
 #include "transducer/transducer.h"
@@ -30,25 +27,18 @@ namespace tms::query {
 
 /// Streams A^ω(μ) in nonincreasing E_max.
 ///
-/// The subspace-solver state (the Markov sequence, its precomputed E_max
-/// tensors, the pruned query) lives in a shared block captured by value,
-/// so the enumerator can be moved freely and — via WithOwnedInputs — can
-/// outlive the arguments it was built from. The solver only reads that
-/// immutable state, so child subspaces may be solved in parallel
-/// (EngineOptions::pool) with output byte-identical to the sequential engine.
+/// The subspace-solver state (the precomputed E_max tensors of the Markov
+/// sequence, the pruned query) lives in a shared block captured by value,
+/// so the enumerator can be moved freely, mid-stream included. The solver
+/// only reads that immutable state, so child subspaces may be solved in
+/// parallel (EngineOptions::pool) with output byte-identical to the
+/// sequential engine.
 class EmaxEnumerator : public ranking::AnswerStream {
  public:
-  /// Borrows `mu` and `t`: both must outlive the enumerator. (Use
-  /// WithOwnedInputs when that is hard to guarantee.)
+  /// Borrows `mu` and `t`: both must outlive the enumerator.
   EmaxEnumerator(const markov::MarkovSequence& mu,
                  const transducer::Transducer& t,
                  const exec::EngineOptions& options = {});
-
-  /// Takes ownership of copies of the inputs — safe even when the caller's
-  /// originals are temporaries or die before the enumerator does.
-  static EmaxEnumerator WithOwnedInputs(
-      markov::MarkovSequence mu, transducer::Transducer t,
-      const exec::EngineOptions& options = {});
 
   /// The next answer (score = its E_max), or nullopt when exhausted.
   std::optional<ranking::ScoredAnswer> Next() override {
@@ -58,17 +48,15 @@ class EmaxEnumerator : public ranking::AnswerStream {
   /// Next(), with `task` run on the answer beside the pop's child solves
   /// when the engine has a pool (ranking::LawlerEnumerator::NextWith).
   std::optional<ranking::ScoredAnswer> NextWith(
-      const ranking::AnswerTask& task) override;
+      const ranking::AnswerTask& task) override {
+    return lawler_->NextWith(task);
+  }
 
  private:
   struct State;
-  EmaxEnumerator(std::shared_ptr<State> state,
-                 const exec::EngineOptions& options);
 
   std::shared_ptr<State> state_;
   std::unique_ptr<ranking::LawlerEnumerator> lawler_;
-  obs::TraceContext obs_ctx_{obs::CurrentTraceContext()};
-  obs::DelayRecorder delay_{"query.emax_enum"};
 };
 
 /// Convenience: the k answers with the highest E_max.

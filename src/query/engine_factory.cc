@@ -45,38 +45,10 @@ StatusOr<std::unique_ptr<ranking::AnswerStream>> MakeEnumerator(
   return Status::InvalidArgument("unknown enumerator kind");
 }
 
-StatusOr<std::unique_ptr<ranking::AnswerStream>> MakeEnumeratorWithOwnedInputs(
-    EnumeratorKind kind, markov::MarkovSequence mu, transducer::Transducer t,
-    const exec::EngineOptions& options) {
-  TMS_RETURN_IF_ERROR(ValidatePair(mu, t));
-  switch (kind) {
-    case EnumeratorKind::kEmax:
-      return std::unique_ptr<ranking::AnswerStream>(
-          std::make_unique<EmaxEnumerator>(EmaxEnumerator::WithOwnedInputs(
-              std::move(mu), std::move(t), options)));
-    case EnumeratorKind::kUnranked:
-      return std::unique_ptr<ranking::AnswerStream>(
-          std::make_unique<UnrankedEnumerator>(
-              UnrankedEnumerator::WithOwnedInputs(std::move(mu), std::move(t),
-                                                  options)));
-  }
-  return Status::InvalidArgument("unknown enumerator kind");
-}
-
 StatusOr<std::unique_ptr<ranking::AnswerStream>> MakeEnumerator(
     const markov::MarkovSequence& mu, const projector::SProjector& p,
     const exec::EngineOptions& options) {
   auto it = projector::ImaxEnumerator::Create(&mu, &p, options);
-  if (!it.ok()) return it.status();
-  return std::unique_ptr<ranking::AnswerStream>(
-      std::make_unique<projector::ImaxEnumerator>(std::move(it).value()));
-}
-
-StatusOr<std::unique_ptr<ranking::AnswerStream>> MakeEnumeratorWithOwnedInputs(
-    markov::MarkovSequence mu, projector::SProjector p,
-    const exec::EngineOptions& options) {
-  auto it = projector::ImaxEnumerator::WithOwnedInputs(std::move(mu),
-                                                       std::move(p), options);
   if (!it.ok()) return it.status();
   return std::unique_ptr<ranking::AnswerStream>(
       std::make_unique<projector::ImaxEnumerator>(std::move(it).value()));

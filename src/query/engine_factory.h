@@ -36,30 +36,18 @@ enum class EnumeratorKind {
 /// Returns the engine's display name ("emax" / "unranked").
 const char* EnumeratorKindName(EnumeratorKind kind);
 
-/// Builds an answer stream over A^ω(μ). Borrows `mu` and `t` — both must
-/// outlive the stream (see the borrow-vs-own contract in
-/// ranking/answer_stream.h). Fails if the node set of `mu` differs from
-/// the input alphabet of `t`, or `t` is invalid.
+/// Builds an answer stream over A^ω(μ). Borrows `mu` and `t`: both must
+/// outlive the stream. Fails if the node set of `mu` differs from the
+/// input alphabet of `t`, or `t` is invalid.
 StatusOr<std::unique_ptr<ranking::AnswerStream>> MakeEnumerator(
     EnumeratorKind kind, const markov::MarkovSequence& mu,
     const transducer::Transducer& t, const exec::EngineOptions& options = {});
-
-/// As MakeEnumerator, but the stream owns copies of the inputs — safe when
-/// the caller's originals are temporaries.
-StatusOr<std::unique_ptr<ranking::AnswerStream>> MakeEnumeratorWithOwnedInputs(
-    EnumeratorKind kind, markov::MarkovSequence mu, transducer::Transducer t,
-    const exec::EngineOptions& options = {});
 
 /// Builds the I_max-ranked stream of an s-projector query (the
 /// n-approximate confidence order of Theorem 5.2). Borrows `mu` and `p`.
 /// Fails on alphabet mismatch.
 StatusOr<std::unique_ptr<ranking::AnswerStream>> MakeEnumerator(
     const markov::MarkovSequence& mu, const projector::SProjector& p,
-    const exec::EngineOptions& options = {});
-
-/// As the s-projector MakeEnumerator, but owning copies of the inputs.
-StatusOr<std::unique_ptr<ranking::AnswerStream>> MakeEnumeratorWithOwnedInputs(
-    markov::MarkovSequence mu, projector::SProjector p,
     const exec::EngineOptions& options = {});
 
 }  // namespace tms::query

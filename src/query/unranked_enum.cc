@@ -22,16 +22,6 @@ UnrankedEnumerator::UnrankedEnumerator(const markov::MarkovSequence& mu,
                     static_cast<size_t>(t_.MaxEmissionLength());
 }
 
-UnrankedEnumerator UnrankedEnumerator::WithOwnedInputs(
-    markov::MarkovSequence mu, transducer::Transducer t,
-    const exec::EngineOptions& options) {
-  auto owned_mu =
-      std::make_shared<const markov::MarkovSequence>(std::move(mu));
-  UnrankedEnumerator out(*owned_mu, t, options);
-  out.owned_mu_ = std::move(owned_mu);
-  return out;
-}
-
 bool UnrankedEnumerator::StopBeforeOracleCall() {
   if (TMS_FAULT_POINT("unranked.pre_oracle")) {
     if (run_ != nullptr) {
@@ -74,16 +64,14 @@ std::optional<ranking::ScoredAnswer> UnrankedEnumerator::Next() {
                       obs::MonotonicNanos() - oracle_start_ns);
     return r;
   };
-  // Counts the oracle calls made for this answer into the registry and
-  // records the inter-answer delay on emission.
+  // Counts the oracle calls made for this answer into the registry on
+  // emission.
   auto emit = [&](const Str& answer) {
     TMS_OBS_COUNT("query.unranked_enum.oracle_calls",
                   oracle_calls_ - calls_before);
-    TMS_OBS_COUNT("query.unranked_enum.answers", 1);
     TMS_OBS_HISTOGRAM("query.unranked_enum.delay_oracle_calls",
                       oracle_calls_ - calls_before);
     if (run_ != nullptr) run_->CountAnswer();
-    delay_.RecordAnswer();
     return ranking::ScoredAnswer{answer, 0.0};
   };
 

@@ -14,14 +14,12 @@
 #ifndef TMS_QUERY_UNRANKED_ENUM_H_
 #define TMS_QUERY_UNRANKED_ENUM_H_
 
-#include <memory>
 #include <optional>
 #include <vector>
 
 #include "exec/engine_options.h"
 #include "exec/run_context.h"
 #include "markov/markov_sequence.h"
-#include "obs/delay.h"
 #include "obs/query_scope.h"
 #include "ranking/answer_stream.h"
 #include "transducer/transducer.h"
@@ -30,9 +28,8 @@ namespace tms::query {
 
 /// Streams A^ω(μ) with polynomial delay and polynomial space. Scores are
 /// 0.0 (this engine makes no ranking claim; see ranking/answer_stream.h).
-/// Construction follows the uniform borrow-vs-own contract documented
-/// there: the plain constructor borrows μ and the transducer,
-/// WithOwnedInputs moves copies in.
+/// The constructor borrows μ, which must outlive the enumerator, and reads
+/// the transducer only to prune its own copy.
 ///
 /// Of EngineOptions this engine uses `run` and `backend`: with a
 /// RunContext (non-owning; null = unbounded) every emptiness-oracle
@@ -52,12 +49,6 @@ class UnrankedEnumerator : public ranking::AnswerStream {
                      const transducer::Transducer& t,
                      const exec::EngineOptions& options = {});
 
-  /// Takes ownership of copies of the inputs — safe even when the caller's
-  /// originals are temporaries or die before the enumerator does.
-  static UnrankedEnumerator WithOwnedInputs(
-      markov::MarkovSequence mu, transducer::Transducer t,
-      const exec::EngineOptions& options = {});
-
   /// The next answer in lexicographic order (score = 0.0), or nullopt
   /// when exhausted.
   std::optional<ranking::ScoredAnswer> Next() override;
@@ -71,9 +62,6 @@ class UnrankedEnumerator : public ranking::AnswerStream {
   // also the home of the per-oracle-call budget charge.
   bool StopBeforeOracleCall();
 
-  // Set only by WithOwnedInputs; mu_ points into it then. shared_ptr so
-  // moving the enumerator cannot relocate the pointee.
-  std::shared_ptr<const markov::MarkovSequence> owned_mu_;
   const markov::MarkovSequence* mu_;
   // The pruned copy of the query; the caller's transducer is only read
   // during construction.
@@ -87,8 +75,9 @@ class UnrankedEnumerator : public ranking::AnswerStream {
   bool started_ = false;
   bool done_ = false;
   int64_t oracle_calls_ = 0;
+  // Trace context of the constructing thread: Next() re-adopts it, so the
+  // oracle metrics attribute to the query that built the stream.
   obs::TraceContext obs_ctx_{obs::CurrentTraceContext()};
-  obs::DelayRecorder delay_{"query.unranked_enum"};
 };
 
 /// Convenience: materializes all answers (exponential in the worst case).

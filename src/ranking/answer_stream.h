@@ -23,15 +23,9 @@
 //     stream runs it after finding the answer. The answer is the same
 //     either way (query::AnswerPipeline passes each answer's confidence).
 //
-// Borrow-vs-own construction contract (uniform across engines):
-//   * Plain constructors / Create() overloads BORROW their model inputs
-//     (μ, the transducer or s-projector) by reference: the caller must
-//     keep them alive for the engine's lifetime. Everything inside
-//     exec::EngineOptions is likewise borrowed.
-//   * Every engine also provides WithOwnedInputs(...), which moves copies
-//     of the model inputs into the engine's shared state — safe even when
-//     the caller's originals are temporaries or die before the stream
-//     does. EngineOptions pointers stay borrowed even then.
+// Engines borrow their inputs (μ, the query, everything exec::
+// EngineOptions points to): the caller keeps them alive for the stream's
+// lifetime.
 
 #ifndef TMS_RANKING_ANSWER_STREAM_H_
 #define TMS_RANKING_ANSWER_STREAM_H_

@@ -53,7 +53,6 @@ std::optional<ScoredAnswer> LawlerEnumerator::NextWith(const AnswerTask& task) {
   // the already-emitted answers an exact prefix of the unbounded stream.
   if (run_ != nullptr && !run_->BeforeAnswer()) return std::nullopt;
   if (heap_.empty()) return std::nullopt;
-  TMS_OBS_COUNT("ranking.lawler.pops", 1);
   std::pop_heap(heap_.begin(), heap_.end(), EntryLess());
   Entry top = std::move(heap_.back());
   heap_.pop_back();
@@ -103,9 +102,7 @@ std::optional<ScoredAnswer> LawlerEnumerator::NextWith(const AnswerTask& task) {
   TMS_OBS_COUNT("ranking.lawler.children_pushed", pushed);
   TMS_OBS_HISTOGRAM("ranking.lawler.partition_fanout", fanout);
   TMS_OBS_GAUGE_SET("ranking.lawler.heap_size", heap_.size());
-  TMS_OBS_COUNT("ranking.lawler.answers", 1);
   if (run_ != nullptr) run_->CountAnswer();
-  delay_.RecordAnswer();
   // Silence unused warnings in the compiled-out build.
   (void)fanout;
   (void)pushed;

@@ -22,10 +22,8 @@
 #include <utility>
 #include <vector>
 
-#include "exec/engine_options.h"
 #include "exec/run_context.h"
 #include "exec/thread_pool.h"
-#include "obs/delay.h"
 #include "obs/query_scope.h"
 #include "ranking/answer_stream.h"
 #include "ranking/prefix_constraint.h"
@@ -78,11 +76,6 @@ class LawlerEnumerator : public AnswerStream {
                             exec::ThreadPool* pool = nullptr,
                             exec::RunContext* run = nullptr);
 
-  /// As above, drawing pool/run from the shared options shape (backend
-  /// does not apply here: the solver captures it).
-  LawlerEnumerator(SubspaceSolver solver, const exec::EngineOptions& options)
-      : LawlerEnumerator(std::move(solver), options.pool, options.run) {}
-
   /// The next best answer, or nullopt when the space is exhausted.
   std::optional<ScoredAnswer> Next() override {
     return NextWith(AnswerTask());
@@ -119,9 +112,6 @@ class LawlerEnumerator : public AnswerStream {
   // (rather than std::priority_queue, whose top() is const and would force
   // a deep copy of the answer + constraint on every pop).
   std::vector<Entry> heap_;
-  // Inter-answer delay distribution (Theorem 4.3's polynomial-delay claim
-  // as measured: histogram `ranking.lawler.delay_ns`).
-  obs::DelayRecorder delay_{"ranking.lawler"};
 };
 
 }  // namespace tms::ranking

@@ -422,6 +422,9 @@ void HttpServer::HandleQuery(int fd, RequestReader* reader,
   bool client_alive = true;
   std::string stream_error;
 
+  // The wire's view of the delay: serialization and the socket write
+  // included, and counted only for lines the client received. The
+  // pipeline's query.<mode>.delay_ns stops before both.
   obs::DelayRecorder delay("serve.query");
   for (int i = 0; i < params.k && client_alive; ++i) {
     auto answer = pipeline->Next();
@@ -444,10 +447,7 @@ void HttpServer::HandleQuery(int fd, RequestReader* reader,
     }
     line += '\n';
     client_alive = writer.WriteChunk(line);
-    if (client_alive) {
-      TMS_OBS_COUNT("serve.answers_streamed", 1);
-      delay.RecordAnswer();
-    }
+    if (client_alive) delay.RecordAnswer();
   }
   if (!client_alive) {
     TMS_OBS_COUNT("serve.client_disconnects", 1);

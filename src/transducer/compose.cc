@@ -9,7 +9,6 @@ Transducer ComposeWithOutputDfa(const Transducer& t,
                                 const automata::Dfa& output_dfa) {
   TMS_CHECK(output_dfa.alphabet() == t.output_alphabet());
   const int nc = output_dfa.num_states();
-  TMS_OBS_COUNT("transducer.compose.calls", 1);
   TMS_OBS_HISTOGRAM("transducer.compose.states", t.num_states() * nc);
   Transducer out(t.input_alphabet(), t.output_alphabet(),
                  t.num_states() * nc);

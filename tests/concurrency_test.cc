@@ -297,27 +297,6 @@ TEST(LawlerBoundaryTest, InfiniteScoresAreSkippedToo) {
 // ---------------------------------------------------------------------------
 // Ownership: the solver state must not dangle.
 
-TEST(OwnershipTest, OwnedInputsOutliveTheCallersOriginals) {
-  Rng rng(55);
-  markov::MarkovSequence mu = RandomMu(rng);
-  Transducer t = RandomT(mu.nodes(), rng);
-  std::vector<ScoredAnswer> want = DrainEmax(mu, t, nullptr);
-
-  std::optional<EmaxEnumerator> it;
-  {
-    // Copies die at the end of this scope; the enumerator must keep its
-    // own. (The old borrow-only enumerator's solver lambda captured the
-    // caller's references and would read freed memory here.)
-    markov::MarkovSequence mu_copy = mu;
-    Transducer t_copy = t;
-    it.emplace(EmaxEnumerator::WithOwnedInputs(std::move(mu_copy),
-                                               std::move(t_copy)));
-  }
-  std::vector<ScoredAnswer> got;
-  while (auto answer = it->Next()) got.push_back(std::move(*answer));
-  ExpectIdenticalStreams(want, got, "owned inputs");
-}
-
 TEST(OwnershipTest, EnumeratorIsMovable) {
   Rng rng(56);
   markov::MarkovSequence mu = RandomMu(rng);

@@ -106,7 +106,7 @@ TEST_F(FlightRecorderTest, DumpJsonCarriesSpansAndQueries) {
   end.query_id = 9;
   end.name = "topk";
   end.duration_ns = 1234;
-  end.counters.emplace_back("ranking.lawler.pops", 5);
+  end.counters.emplace_back("ranking.lawler.solver_calls", 5);
   r.RecordQueryEnd(std::move(end));
   std::string doc = r.DumpJson("BUDGET_EXHAUSTED", 9, "detail-string");
   EXPECT_NE(doc.find("\"tms_flight_dump\""), std::string::npos);
@@ -114,7 +114,7 @@ TEST_F(FlightRecorderTest, DumpJsonCarriesSpansAndQueries) {
   EXPECT_NE(doc.find("\"query_id\":9"), std::string::npos);
   EXPECT_NE(doc.find("\"detail\":\"detail-string\""), std::string::npos);
   EXPECT_NE(doc.find("flight.dumped"), std::string::npos);
-  EXPECT_NE(doc.find("\"ranking.lawler.pops\":5"), std::string::npos);
+  EXPECT_NE(doc.find("\"ranking.lawler.solver_calls\":5"), std::string::npos);
 }
 
 TEST_F(FlightRecorderTest, OnTruncationDumpsOncePerQuery) {

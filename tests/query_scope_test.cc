@@ -10,6 +10,7 @@
 
 #include <atomic>
 #include <set>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -18,12 +19,12 @@
 #include "db/collection.h"
 #include "exec/thread_pool.h"
 #include "obs/obs.h"
+#include "projector/sprojector.h"
+#include "query/answers.h"
 #include "query/emax_enum.h"
 #include "test_util.h"
 #include "transducer/transducer.h"
 #include "workload/random_models.h"
-
-#if TMS_OBS_ACTIVE
 
 namespace tms {
 namespace {
@@ -59,6 +60,108 @@ Transducer RandomT(const Alphabet& nodes, Rng& rng) {
   opts.deterministic = false;
   return workload::RandomTransducer(nodes, opts, rng);
 }
+
+// The answer pipeline alone counts and times answers. Drained under its
+// own scope, each mode's stream leaves exactly one delay histogram, the
+// pipeline's, with one sample per answer; the two confidence modes time
+// one confidence per answer; and no counter or histogram that would only
+// repeat one of those counts, or a histogram's count, is recorded.
+TEST_F(QueryScopeTest, EachAnswerModeRecordsOneDelayHistogram) {
+#if !TMS_OBS_ACTIVE
+  GTEST_SKIP() << "metrics are compiled out";
+#endif
+  Rng rng(4343);
+  const markov::MarkovSequence mu = RandomMu(rng);
+  const query::Query t = RandomT(mu.nodes(), rng);
+  const markov::MarkovSequence mu2 =
+      workload::RandomMarkovSequence(2, 4, 2, rng);
+  auto p = projector::SProjector::FromRegex(workload::MakeSymbols(2, "n"),
+                                            ". *", "n0 +", ". *");
+  ASSERT_TRUE(p.ok()) << p.status();
+  const query::Query sproj = *p;
+  exec::ThreadPool pool(2);
+
+  struct ModeCase {
+    const char* label;
+    const markov::MarkovSequence* mu;
+    const query::Query* query;
+    query::AnswerMode mode;
+    const char* delay;       // the one *.delay_ns histogram
+    const char* confidence;  // its confidence timing, or null
+  };
+  const ModeCase cases[] = {
+      {"ranked transducer", &mu, &t, query::AnswerMode::kRanked,
+       "query.topk.delay_ns", "query.topk.confidence_ns"},
+      {"ranked s-projector", &mu2, &sproj, query::AnswerMode::kRanked,
+       "query.topk.delay_ns", "query.topk.confidence_ns"},
+      {"enum", &mu, &t, query::AnswerMode::kEnum, "query.enum.delay_ns",
+       nullptr},
+      {"two-step", &mu, &t, query::AnswerMode::kTwoStep,
+       "query.twostep.delay_ns", "query.twostep.confidence_ns"},
+  };
+  const char* const kDeleted[] = {
+      "automata.determinize.calls",   "automata.minimize.calls",
+      "automata.product.calls",       "exec.pool.batches",
+      "obs.query.count",              "optimize.passes",
+      "projector.imax_enum.answers",  "projector.imax_enum.dag_builds",
+      "projector.imax_enum.delay_ns", "query.emax_enum.answers",
+      "query.emax_enum.delay_ns",     "query.topk.answers",
+      "query.topk.confidence_calls",  "query.twostep.answers",
+      "query.twostep.confidence_calls", "query.unranked_enum.answers",
+      "query.unranked_enum.delay_ns", "ranking.lawler.answers",
+      "ranking.lawler.delay_ns",      "ranking.lawler.pops",
+      "serve.answers_streamed",       "transducer.compose.calls",
+  };
+  auto expect_no_deleted_name = [&](const obs::RegistrySnapshot& snap,
+                                    const std::string& where) {
+    for (const char* name : kDeleted) {
+      EXPECT_EQ(snap.counters.count(name) + snap.gauges.count(name) +
+                    snap.histograms.count(name),
+                0u)
+          << where << " records " << name;
+    }
+  };
+  for (const ModeCase& c : cases) {
+    SCOPED_TRACE(c.label);
+    QueryScope scope(c.label);
+    // A pool on the ranked transducer: its child solves and confidence
+    // run on the workers, which adopt this scope.
+    const exec::EngineOptions options{
+        .pool = c.query == &t && c.mode == query::AnswerMode::kRanked
+                    ? &pool
+                    : nullptr};
+    auto pipeline =
+        query::AnswerPipeline::Create(*c.mu, *c.query, c.mode, options);
+    ASSERT_TRUE(pipeline.ok()) << pipeline.status();
+    auto answers = pipeline->Take(50);
+    ASSERT_TRUE(answers.ok()) << answers.status();
+    ASSERT_FALSE(answers->empty());
+    const int64_t n = static_cast<int64_t>(answers->size());
+
+    const obs::RegistrySnapshot snap = scope.Snapshot();
+    std::vector<std::string> delays;
+    for (const auto& [name, hist] : snap.histograms) {
+      const std::string suffix = ".delay_ns";
+      if (name.size() >= suffix.size() &&
+          name.compare(name.size() - suffix.size(), suffix.size(),
+                       suffix) == 0) {
+        delays.push_back(name);
+      }
+    }
+    EXPECT_EQ(delays, std::vector<std::string>{c.delay});
+    ASSERT_EQ(snap.histograms.count(c.delay), 1u);
+    EXPECT_EQ(snap.histograms.at(c.delay).count, n);
+    if (c.confidence != nullptr) {
+      ASSERT_EQ(snap.histograms.count(c.confidence), 1u);
+      EXPECT_EQ(snap.histograms.at(c.confidence).count, n);
+    }
+    expect_no_deleted_name(snap, c.label);
+  }
+  // The process totals, the closed scopes' summary included.
+  expect_no_deleted_name(obs::Registry::Global().Snapshot(), "global");
+}
+
+#if TMS_OBS_ACTIVE
 
 std::vector<ScoredAnswer> DrainEmax(const markov::MarkovSequence& mu,
                                     const Transducer& t,
@@ -113,7 +216,6 @@ TEST_F(QueryScopeTest, RoutesMetricsToScopeAndGlobal) {
 
 TEST_F(QueryScopeTest, ClosePublishesQuerySummary) {
   { QueryScope scope("summary"); }
-  EXPECT_EQ(obs::Registry::Global().counter("obs.query.count").value(), 1);
   EXPECT_EQ(
       obs::Registry::Global().histogram("obs.query.duration_ns").count(), 1);
 }
@@ -305,13 +407,7 @@ TEST_F(QueryScopeTest, ConcurrentBatchQueriesOnSharedPoolStayDisjoint) {
   EXPECT_GT(ExpectParentedUnderRoot(events, out_b.qid, out_b.root), 0);
 }
 
-}  // namespace
-}  // namespace tms
-
 #endif  // TMS_OBS_ACTIVE
-
-namespace tms {
-namespace {
 
 // A TMS_OBS_* macro evaluates its value operand once, so the query scope
 // and the global registry record the same sample even when the operand

@@ -322,26 +322,35 @@ TEST_F(ServeTest, SProjectorQueryStreamsImaxLines) {
 }
 
 // A served query runs the shared answer pipeline, so /metrics times the
-// confidence of every streamed answer, of transducer and s-projector
-// queries alike.
+// confidence and the delay of every streamed answer, of transducer and
+// s-projector queries alike, and the server times each line it wrote.
 TEST_F(ServeTest, MetricsTimeConfidenceOfEveryStreamedAnswer) {
 #if !TMS_OBS_ACTIVE
   GTEST_SKIP() << "metrics are compiled out";
 #else
   obs::SetEnabled(true);
   StartServer(ServerOptions{});
-  const std::string sample = "\ntms_query_topk_confidence_ns_count ";
-  // The sample's value, or nullopt when /metrics does not export it.
-  auto timed_confidences = [&]() -> std::optional<int64_t> {
+  auto metrics_body = [&]() -> std::string {
     auto metrics = ParseResponse(Get(port_, "/metrics"));
-    if (!metrics.has_value()) return std::nullopt;
-    const size_t pos = metrics->body.find(sample);
-    if (pos == std::string::npos) return std::nullopt;
-    return std::strtoll(metrics->body.c_str() + pos + sample.size(), nullptr,
-                        10);
+    return metrics.has_value() ? metrics->body : std::string();
   };
+  // The value of `sample` in an exposition, or nullopt when it has none.
+  auto value_of = [](const std::string& body,
+                     const char* sample) -> std::optional<int64_t> {
+    std::string line = "\n";
+    line += sample;
+    line += ' ';
+    const size_t pos = body.find(line);
+    if (pos == std::string::npos) return std::nullopt;
+    return std::strtoll(body.c_str() + pos + line.size(), nullptr, 10);
+  };
+  // One confidence timing and one pipeline delay per answer, and one
+  // wire delay per line the client received.
+  const char* const kPerAnswer[] = {"tms_query_topk_confidence_ns_count",
+                                    "tms_query_topk_delay_ns_count",
+                                    "tms_serve_query_delay_ns_count"};
   // Earlier tests in this process may have recorded some already.
-  const int64_t before = timed_confidences().value_or(0);
+  const std::string before = metrics_body();
 
   int64_t answer_lines = 0;
   for (const std::string& body : {QueryBody(), SProjectorBody()}) {
@@ -352,9 +361,20 @@ TEST_F(ServeTest, MetricsTimeConfidenceOfEveryStreamedAnswer) {
     ASSERT_GE(lines.size(), 2u);  // answers, then the footer
     answer_lines += static_cast<int64_t>(lines.size()) - 1;
   }
-  const std::optional<int64_t> after = timed_confidences();
-  ASSERT_TRUE(after.has_value()) << "/metrics has no" << sample;
-  EXPECT_EQ(*after - before, answer_lines);
+  const std::string after = metrics_body();
+  for (const char* sample : kPerAnswer) {
+    const std::optional<int64_t> now = value_of(after, sample);
+    ASSERT_TRUE(now.has_value()) << "/metrics has no " << sample;
+    EXPECT_EQ(*now - value_of(before, sample).value_or(0), answer_lines)
+        << sample;
+  }
+  // The engines time no answers and the server counts none: the
+  // pipeline and the wire own those facts.
+  for (const char* gone :
+       {"tms_ranking_lawler_delay_ns", "tms_query_emax_enum_delay_ns",
+        "tms_projector_imax_enum_delay_ns", "tms_serve_answers_streamed"}) {
+    EXPECT_EQ(after.find(gone), std::string::npos) << gone;
+  }
 #endif
 }
 

@@ -72,6 +72,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <optional>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -709,6 +710,9 @@ int main(int argc, char** argv) {
     // suppresses the human tables.
     const bool suppress_tables = explain_command && !out.json;
     if (suppress_tables) out.json = true;
+    // The answer pipeline the command runs, whose delay histogram the
+    // explain report reads; conf, dist and show run none.
+    std::optional<query::AnswerMode> answer_mode;
     if (command == "show") {
       code = RunShow(args[1], &out);
     } else if (args.size() < 3) {
@@ -716,12 +720,13 @@ int main(int argc, char** argv) {
     } else if (command == "topk" || explain_command) {
       int k = 10;
       if (args.size() >= 4 && !ParseCountArg("k", args[3], &k)) return Usage();
-      code = RunAnswers(args[1], args[2], query::AnswerMode::kRanked, k,
-                        &exec, &out);
+      answer_mode = query::AnswerMode::kRanked;
+      code = RunAnswers(args[1], args[2], *answer_mode, k, &exec, &out);
     } else if (command == "batch") {
       int k = 0;
       if (!ParseCountArg("k", args[2], &k)) return Usage();
       if (args.size() < 4) return Usage();
+      answer_mode = query::AnswerMode::kRanked;  // one per sequence
       code = RunBatch(args[1],
                       std::vector<std::string>(args.begin() + 3, args.end()),
                       k, &exec, &out);
@@ -738,8 +743,8 @@ int main(int argc, char** argv) {
       if (args.size() >= 4 && !ParseCountArg("limit", args[3], &limit)) {
         return Usage();
       }
-      code = RunAnswers(args[1], args[2], query::AnswerMode::kEnum, limit,
-                        &exec, &out);
+      answer_mode = query::AnswerMode::kEnum;
+      code = RunAnswers(args[1], args[2], *answer_mode, limit, &exec, &out);
     } else {
       return Usage();
     }
@@ -753,6 +758,10 @@ int main(int argc, char** argv) {
       input.threads = exec.threads;
       input.backend = kernels::BackendChoiceName(exec.backend);
       input.stats = scope.Snapshot();
+      if (answer_mode.has_value()) {
+        input.delay_histogram = query::MetricPrefix(*answer_mode);
+        input.delay_histogram += ".delay_ns";
+      }
       if (const exec::RunContext* run = exec.PeekRun()) {
         input.stop_reason = StopReasonName(run->stop_reason());
         input.answers = run->answers_emitted();
